@@ -6,13 +6,14 @@ local solution at grid nodes, and three continuous norms of the local
 solution.  Orders come from a least-squares fit of lg e against lg dt.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
 
-from .basis import compute_nodes, compute_weights
-from .solver import eval_local, trajectory_eval
+from .basis import compute_nodes, compute_weights, eval_basis
+from .solver import combine_basis, eval_local, trajectory_eval
 
 # column layout of the order table, matching the reference presentation
 ORDER_COLUMNS = ("n_final", "n_l1", "n_l2", "n_linf", "p_G",
@@ -50,7 +51,6 @@ class ConvergenceTable:
     n_values: tuple
     m_values: tuple
     orders: dict        # N -> {column -> fitted order}, plus p_G / p_L refs
-    fit_residuals: dict  # N -> {column -> rms residual of the log-log fit}
     reports: dict       # (N, M) -> ErrorReport
     trajectories: Optional[dict] = None
 
@@ -61,7 +61,12 @@ def _vec_err(u, v, norm):
     return max(abs(a - b) for a, b in zip(u, v))
 
 
-def _golden_max(f, lo, hi, iters=60):
+def _golden_max(f, lo, hi, iters=40):
+    # The error's maxima are smooth inside an interval (|.| has kinks only
+    # at minima), so the value found is off by the square of the final
+    # bracket width: 0.618^40 ~ 4e-9 of two sample spacings leaves a
+    # relative error near 1e-17 even at N=12.  Maxima at the interval ends
+    # are caught exactly by the samples.
     inv = (mp.sqrt(5) - 1) / 2
     a, b = lo, hi
     x1 = b - inv * (b - a)
@@ -133,22 +138,29 @@ def compute_errors(traj, reference, ctx, *, norm="max", sup_samples=64):
             lq_linf = max(lq_linf, err)
         e["lq_l1"], e["lq_l2"], e["lq_linf"] = lq_l1, mp.sqrt(lq_l2), lq_linf
 
-        # continuous norms of the local solution
-        qn = n + 7  # degree for an (N+8)-point Gauss rule
-        qtau = compute_nodes(qn, "gauss-legendre", ctx)
-        qw = compute_weights(qtau, ctx)
+        # continuous norms of the local solution; the Gauss points and the
+        # sup-norm samples sit at the same tau in every interval, so their
+        # basis values are tabulated once
+        qtau, qw = _gauss_rule(n + 8, ctx)
+        q_basis = [eval_basis(basis, tq) for tq in qtau]
+        s_basis = [eval_basis(basis, mp.mpf(i) / (sup_samples - 1))
+                   for i in range(sup_samples)]
         l_l1 = l_l2 = mp.mpf(0)
         l_linf = mp.mpf(0)
         for loc in traj.locals:
             def err_at(t):
                 return _vec_err(eval_local(loc, basis, t), reference(t), norm)
-            for tq, wq in zip(qtau, qw):
-                v = err_at(loc.t_n + tq * loc.dt_n)
+
+            def err_tab(t, lvals):
+                return _vec_err(combine_basis(basis, lvals, loc.qhat),
+                                reference(t), norm)
+            for tq, wq, lvals in zip(qtau, qw, q_basis):
+                v = err_tab(loc.t_n + tq * loc.dt_n, lvals)
                 l_l1 += loc.dt_n * wq * v
                 l_l2 += loc.dt_n * wq * v ** 2
             ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (sup_samples - 1)
                   for i in range(sup_samples)]
-            vals = [err_at(t) for t in ts]
+            vals = [err_tab(t, lvals) for t, lvals in zip(ts, s_basis)]
             best = max(range(sup_samples), key=lambda i: vals[i])
             lo = ts[max(best - 1, 0)]
             hi = ts[min(best + 1, sup_samples - 1)]
@@ -157,6 +169,13 @@ def compute_errors(traj, reference, ctx, *, norm="max", sup_samples=64):
 
         return ErrorReport(n=n, m=m, dt=max(loc.dt_n for loc in traj.locals),
                            errors=e)
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_rule(points, ctx):
+    """Nodes and weights of the points-point Gauss rule on [0, 1]."""
+    qtau = compute_nodes(points - 1, "gauss-legendre", ctx)
+    return qtau, compute_weights(qtau, ctx)
 
 
 def fit_order(points, floor=None):
@@ -240,33 +259,32 @@ def convergence_study(entry, n_values, m_values, ctx, *, config=None,
 
     reports = {}
     trajectories = {} if keep_trajectories else None
-    orders = {}
-    residuals = {}
     for n in n_values:
         tab = build_tableau(n, "gauss-legendre", ctx)
-        cells = []
         for m in m_values:
             traj = integrate(tab, entry.problem, m, config, ctx)
-            rep = compute_errors(traj, reference, ctx, norm=norm)
-            reports[(n, m)] = rep
-            cells.append(rep)
+            reports[(n, m)] = compute_errors(traj, reference, ctx, norm=norm)
             if keep_trajectories:
                 trajectories[(n, m)] = traj
             if progress:
                 progress(n, m)
-        row = {}
-        rrow = {}
-        floor = 10 ** 6 * ctx.unit_roundoff
-        for name in ERROR_FIELDS:
-            p, rms = fit_order([(rep.dt, rep[name]) for rep in cells], floor)
-            row[name], rrow[name] = p, rms
+    return _fitted_table(n_values, m_values, reports, ctx, trajectories)
+
+
+def _fitted_table(n_values, m_values, reports, ctx, trajectories=None):
+    """Fit all 14 orders per N over the M sweep and assemble the table."""
+    orders = {}
+    floor = 10 ** 6 * ctx.unit_roundoff
+    for n in n_values:
+        cells = [reports[(n, m)] for m in m_values]
+        row = {name: fit_order([(rep.dt, rep[name]) for rep in cells], floor)[0]
+               for name in ERROR_FIELDS}
         row["p_G"] = 2 * n + 1
         row["p_L"] = n + 1
         orders[n] = row
-        residuals[n] = rrow
     return ConvergenceTable(n_values=tuple(n_values), m_values=tuple(m_values),
-                            orders=orders, fit_residuals=residuals,
-                            reports=reports, trajectories=trajectories)
+                            orders=orders, reports=reports,
+                            trajectories=trajectories)
 
 
 def _parallel_study(spec, n_values, m_values, ctx, *, norm, jobs, progress):
@@ -284,22 +302,7 @@ def _parallel_study(spec, n_values, m_values, ctx, *, norm, jobs, progress):
                     errors={k: mp.mpf(v) for k, v in err_s.items()})
             if progress:
                 progress(n, m)
-    orders = {}
-    residuals = {}
-    for n in n_values:
-        cells = [reports[(n, m)] for m in m_values]
-        row, rrow = {}, {}
-        floor = 10 ** 6 * ctx.unit_roundoff
-        for name in ERROR_FIELDS:
-            p, rms = fit_order([(rep.dt, rep[name]) for rep in cells], floor)
-            row[name], rrow[name] = p, rms
-        row["p_G"] = 2 * n + 1
-        row["p_L"] = n + 1
-        orders[n] = row
-        residuals[n] = rrow
-    return ConvergenceTable(n_values=tuple(n_values), m_values=tuple(m_values),
-                            orders=orders, fit_residuals=residuals,
-                            reports=reports, trajectories=None)
+    return _fitted_table(n_values, m_values, reports, ctx)
 
 
 def interface_identity_residual(traj, ctx):

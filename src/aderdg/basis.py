@@ -235,16 +235,23 @@ def compute_weights(tau, ctx):
 
 
 def eval_basis(basis, tau):
-    """Values of all basis polynomials at tau (Horner in monomial form)."""
+    """Values of all basis polynomials at tau, in barycentric form.
+
+    l_p(tau) = (lam_p / (tau - tau_p)) / sum_k lam_k / (tau - tau_k), where
+    the barycentric weight lam_p = 1 / prod_{k != p} (tau_p - tau_k) is the
+    leading monomial coefficient phi[p][-1] (Berrut & Trefethen, SIAM Rev.
+    46(3), 2004).  O(N) per point and free of the monomial coefficient
+    growth.  A tau on a node gives the exact Kronecker delta.
+    """
     with mp.workdps(basis.work_dps or mp.mp.dps):
         tau = mp.mpf(tau)
-        out = []
-        for row in basis.phi:
-            acc = row[-1]
-            for c in reversed(row[:-1]):
-                acc = acc * tau + c
-            out.append(acc)
-        return tuple(out)
+        terms = []
+        for p, tp in enumerate(basis.tau):
+            if tau == tp:
+                return tuple(mp.mpf(int(q == p)) for q in range(len(basis.tau)))
+            terms.append(basis.phi[p][-1] / (tau - tp))
+        total = mp.fsum(terms)
+        return tuple(t / total for t in terms)
 
 
 def make_basis(n, family, ctx):

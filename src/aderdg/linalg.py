@@ -76,13 +76,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def max_abs(a):
-    """Max absolute entry of a matrix or vector."""
-    if a and isinstance(a[0], list):
-        return max(max(abs(x) for x in row) for row in a)
-    return max(abs(x) for x in a)
-
-
 def max_row_sum(a):
     """Infinity norm (max absolute row sum)."""
     return max(sum(abs(x) for x in row) for row in a)

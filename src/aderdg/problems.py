@@ -33,12 +33,16 @@ class ProblemCatalogEntry:
 
 def harmonic_oscillator():
     """Unit harmonic oscillator as a first-order system, four full periods."""
+    def exact(t):
+        c, s = mp.cos_sin(t)  # one series for both, same values as cos, sin
+        return (c, -s)
+
     with mp.workdps(_CONST_DPS):
         problem = OdeProblem(
             dim=2,
             rhs=lambda u, t: (u[1], -u[0]),
             jacobian=lambda u, t: ((mp.mpf(0), mp.mpf(1)), (mp.mpf(-1), mp.mpf(0))),
-            exact=lambda t: (mp.cos(t), -mp.sin(t)),
+            exact=exact,
             t0=mp.mpf(0), tf=4 * mp.pi, u0=(mp.mpf(1), mp.mpf(0)))
     return ProblemCatalogEntry(
         name="harmonic", problem=problem, reference_kind="exact-closed-form",
@@ -122,7 +126,8 @@ def catalog_lookup(spec):
         return pendulum()
     if spec.startswith("dahlquist:"):
         try:
-            return dahlquist(mp.mpmathify(spec.split(":", 1)[1]))
+            # dahlquist() parses the string at the catalog precision
+            return dahlquist(spec.split(":", 1)[1])
         except (ValueError, TypeError) as exc:
             raise ProblemError(f"bad dahlquist parameter in {spec!r}") from exc
     if spec.startswith("poly:"):

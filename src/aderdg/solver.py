@@ -210,11 +210,15 @@ def eval_local(local, basis, t):
         for p, tp in enumerate(basis.tau):
             if abs(tau - tp) <= eps * (1 + abs(tp)):
                 return tuple(local.qhat[p])
-        vals = eval_basis(basis, tau)
-        d = len(local.qhat[0])
-        return tuple(mp.fsum(vals[p] * local.qhat[p][i]
-                             for p in range(len(vals)))
-                     for i in range(d))
+        return combine_basis(basis, eval_basis(basis, tau), local.qhat)
+
+
+def combine_basis(basis, vals, qhat):
+    """Predictor value sum_p vals[p] qhat[p] from basis values at one point,
+    per component, at the basis's working precision."""
+    with mp.workdps(basis.work_dps):
+        return tuple(mp.fsum(v * row[i] for v, row in zip(vals, qhat))
+                     for i in range(len(qhat[0])))
 
 
 def trajectory_eval(traj, t):
@@ -223,7 +227,7 @@ def trajectory_eval(traj, t):
     times = traj.times
     if t < times[0] or t > times[-1]:
         raise SolverError(f"t outside trajectory domain")
-    n = bisect.bisect_left(list(times), t) - 1
+    n = bisect.bisect_left(times, t) - 1
     n = min(max(n, 0), len(traj.locals) - 1)
     return eval_local(traj.locals[n], traj.tableau.basis, t)
 
@@ -242,7 +246,7 @@ def _picard_bound_check(tab, problem, config, ctx, dt):
             f"{mp.nstr(dt * c * amax, 5)} >= 1")
 
 
-def integrate(tab, problem, grid, config=None, ctx=None):
+def integrate(tab, problem, grid, config, ctx):
     """Integrate over [t0, tf]; grid is a step count or explicit node list."""
     if config is None:
         config = SolverConfig()

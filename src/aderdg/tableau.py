@@ -48,10 +48,8 @@ class AderDgTableau:
 class QMStability:
     q: tuple
     m: tuple
-    lambda_q: mp.mpf          # |psi|^2, the nonzero eigenvalue of Q
     lambda_m: mp.mpf          # |a^T psi|^2, the nonzero eigenvalue of M
     q_residual: mp.mpf        # max |Q - psi psi^T|
-    q_residual_tilde: mp.mpf  # diagnostic: max |Q - psi~ psi~^T|
     m_residual: mp.mpf        # max |M - (a^T psi)(a^T psi)^T|
     gershgorin_lower: mp.mpf  # certified lower eigenvalue bound of M
 
@@ -178,8 +176,6 @@ def build_q_m(tab, ctx):
         u = linalg.mat_vec(at, list(b.psi))
         q_res = max(abs(q_mat[p][q] - b.psi[p] * b.psi[q])
                     for p in range(n1) for q in range(n1))
-        q_res_t = max(abs(q_mat[p][q] - b.psi_tilde[p] * b.psi_tilde[q])
-                      for p in range(n1) for q in range(n1))
         m_res = max(abs(m_mat[p][q] - u[p] * u[q])
                     for p in range(n1) for q in range(n1))
         if q_res > ctx.identity_tol or m_res > ctx.identity_tol:
@@ -188,12 +184,11 @@ def build_q_m(tab, ctx):
         # the defect matrix bounds how far M's spectrum can dip below zero
         defect = [[m_mat[p][q] - u[p] * u[q] for q in range(n1)] for p in range(n1)]
         gersh = -linalg.max_row_sum(defect)
-        lam_q = mp.fsum(pp ** 2 for pp in b.psi)
         lam_m = mp.fsum(up ** 2 for up in u)
         return QMStability(
             q=tuple(tuple(r) for r in q_mat), m=tuple(tuple(r) for r in m_mat),
-            lambda_q=lam_q, lambda_m=lam_m, q_residual=q_res,
-            q_residual_tilde=q_res_t, m_residual=m_res, gershgorin_lower=gersh)
+            lambda_m=lam_m, q_residual=q_res, m_residual=m_res,
+            gershgorin_lower=gersh)
 
 
 def stability_function(tab, z, ctx):

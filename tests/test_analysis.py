@@ -63,6 +63,37 @@ def test_compute_errors_consistency():
             assert rep[name] >= 0
 
 
+# all 14 errors of harmonic N=2, M=4 at 60 digits, as computed by the
+# monomial-basis, untabulated analysis; the Galerkin predictor does not
+# depend on the node family, so only the quadrature-point errors differ
+_PINNED_COMMON = {
+    "n_l1": "2.00921980191", "n_l2": "0.616642614766",
+    "n_linf": "0.250435877066", "n_final": "0.250435877066",
+    "ln_l1": "3.06556262646", "ln_l2": "0.857576489776",
+    "ln_linf": "0.336244364252", "ln_final": "0.250435877066",
+    "l_l1": "2.28058362457", "l_l2": "0.694091287606",
+    "l_linf": "0.347088112407"}
+_PINNED = {
+    "gauss-legendre": dict(_PINNED_COMMON, lq_l1="1.87130908381",
+                           lq_l2="0.617890129615", lq_linf="0.340547555518"),
+    # radau-right has a node at tau = 1, the last sup-norm sample
+    "radau-right": dict(_PINNED_COMMON, lq_l1="1.49012490829",
+                        lq_l2="0.459579120914", lq_linf="0.250435877066"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED))
+def test_compute_errors_pinned(family):
+    entry = harmonic_oscillator()
+    tab = build_tableau(2, family, CTX)
+    traj = integrate(tab, entry.problem, 4, SolverConfig(), CTX)
+    rep = compute_errors(traj, entry.problem.exact, CTX)
+    assert set(_PINNED[family]) == set(ERROR_FIELDS)
+    with CTX.workdps():
+        for name, value in _PINNED[family].items():
+            assert abs(rep[name] / mp.mpf(value) - 1) < mp.mpf(10) ** -11, name
+
+
 def test_interface_residual_small():
     entry = harmonic_oscillator()
     tab = build_tableau(3, "gauss-legendre", CTX)

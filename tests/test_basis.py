@@ -98,12 +98,39 @@ def test_gauss_legendre_symmetry():
 
 
 def test_psi_is_kronecker_at_nodes():
-    b = make_basis(4, "gauss-legendre", CTX)
-    with CTX.workdps():
+    # exact delta at every node, the Radau endpoints 0 and 1 included
+    for family in ("gauss-legendre", "radau-left", "radau-right"):
+        b = make_basis(4, family, CTX)
         for p in range(5):
-            vals = eval_basis(b, b.tau[p])
-            for q in range(5):
-                assert abs(vals[q] - (1 if p == q else 0)) < CTX.identity_tol
+            assert eval_basis(b, b.tau[p]) == tuple(
+                1 if p == q else 0 for q in range(5))
+
+
+def _horner_basis(b, t):
+    with mp.workdps(b.work_dps):
+        out = []
+        for row in b.phi:
+            acc = row[-1]
+            for c in reversed(row[:-1]):
+                acc = acc * t + c
+            out.append(acc)
+        return out
+
+
+@pytest.mark.parametrize("family", ["gauss-legendre", "radau-left",
+                                    "radau-right"])
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_eval_basis_matches_horner(n, family):
+    # the barycentric form against the monomial rows it is derived from
+    b = make_basis(n, family, CTX)
+    rng = random.Random(n)
+    with CTX.workdps():
+        for _ in range(20):
+            t = mp.mpf(rng.random())
+            bary = eval_basis(b, t)
+            horner = _horner_basis(b, t)
+            assert max(abs(x - y) for x, y in zip(bary, horner)) \
+                < CTX.identity_tol
 
 
 def test_weights_n1_are_half():

@@ -1,3 +1,5 @@
+import random
+
 import mpmath as mp
 import pytest
 
@@ -22,6 +24,16 @@ def test_harmonic_exact_solves_ode():
             assert max(abs(a - b) for a, b in zip(du, f)) < mp.mpf(10) ** -20
         u0 = entry.problem.exact(entry.problem.t0)
         assert max(abs(a - b) for a, b in zip(u0, entry.problem.u0)) == 0
+
+
+def test_harmonic_exact_equals_cos_sin():
+    # the one-series reference gives the very numbers of mp.cos and mp.sin
+    exact = harmonic_oscillator().problem.exact
+    rng = random.Random(5)
+    with mp.workdps(510):
+        for _ in range(20):
+            t = mp.mpf(rng.uniform(0, 13))
+            assert exact(t) == (mp.cos(t), -mp.sin(t))
 
 
 def test_pendulum_invariant_at_start():
@@ -86,6 +98,12 @@ def test_catalog_lookup():
     assert catalog_lookup("poly:3:7").name == "poly:3:7"
     with CTX.workdps():
         assert catalog_lookup("dahlquist:-2.5").problem.rhs((mp.mpf(1),), 0)[0] == mp.mpf(-2.5)
+
+
+def test_catalog_lookup_parses_lambda_at_catalog_precision():
+    lam = catalog_lookup("dahlquist:-316227.8").problem.jacobian((1,), 0)[0][0]
+    with mp.workdps(1200):
+        assert lam == mp.mpf("-316227.8")
 
 
 @pytest.mark.parametrize("bad", ["", "unknown", "poly:3", "poly:a:b",
