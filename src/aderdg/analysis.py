@@ -12,7 +12,8 @@ from typing import Optional
 
 import mpmath as mp
 
-from .basis import compute_nodes, compute_weights, eval_basis
+from .basis import (compute_nodes, compute_weights, eval_basis,
+                    lagrange_coefficients)
 from .solver import combine_basis, eval_local, trajectory_eval
 
 # column layout of the order table, matching the reference presentation
@@ -175,7 +176,7 @@ def compute_errors(traj, reference, ctx, *, norm="max", sup_samples=64):
 def _gauss_rule(points, ctx):
     """Nodes and weights of the points-point Gauss rule on [0, 1]."""
     qtau = compute_nodes(points - 1, "gauss-legendre", ctx)
-    return qtau, compute_weights(qtau, ctx)
+    return qtau, compute_weights(lagrange_coefficients(qtau, ctx)[0], ctx)
 
 
 def fit_order(points, floor=None):

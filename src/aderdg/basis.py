@@ -113,8 +113,32 @@ def _newton_root(f, guess, eps):
     raise RootConvergenceError("Newton iteration for a node did not converge")
 
 
+def _initial_guesses(n1, family):
+    """One closed-form starting point per root of the family polynomial.
+
+    Gauss-Legendre starts from the asymptotic zeros of P_{N+1},
+    theta_i = (i - 1/4) pi / (N + 3/2).  Radau-right starts from the
+    endpoint 1, an exact root since P~_k(1) = 1 for every k, plus the
+    asymptotic zeros of the Jacobi polynomial P_N^(1,0),
+    theta_k = (k + 1/4) pi / (N + 1) (Szego, Orthogonal Polynomials, 8.9;
+    Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013); radau-left is its
+    mirror image about 1/2.  Each theta maps to tau = (1 + cos theta) / 2.
+    """
+    if family == "gauss-legendre":
+        return [(1 + mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n1 + mp.mpf(1) / 2))) / 2
+                for i in range(1, n1 + 1)]
+    right = [mp.mpf(1)] + [(1 + mp.cos(mp.pi * (k + mp.mpf(1) / 4) / n1)) / 2
+                           for k in range(1, n1)]
+    return right if family == "radau-right" else [1 - g for g in right]
+
+
 def compute_nodes(n, family, ctx):
-    """Ascending nodes of the degree-N basis, (N+1) of them, in [0, 1]."""
+    """Ascending nodes of the degree-N basis, (N+1) of them, in [0, 1].
+
+    Every node is a Newton root of the family polynomial started at its
+    closed-form asymptotic zero; _check_roots rejects two starts that
+    converge to one root.
+    """
     if n < 0:
         raise BasisError("degree must be nonnegative")
     n1 = n + 1
@@ -124,45 +148,10 @@ def compute_nodes(n, family, ctx):
     with mp.workdps(dps):
         eps = mp.mpf(10) ** (-(dps - 5))
         f = _family_poly(n1, family)
-        if family == "gauss-legendre":
-            roots = []
-            for i in range(1, n1 + 1):
-                x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n1 + mp.mpf(1) / 2))
-                roots.append(_newton_root(f, (1 + x) / 2, eps))
-        else:
-            endpoint = mp.mpf(1) if family == "radau-right" else mp.mpf(0)
-            roots = [endpoint]
-            roots += [_newton_root(f, b, eps) for b in _bracket_interior(f, n1)]
-        roots.sort()
+        roots = sorted(_newton_root(f, g, eps)
+                       for g in _initial_guesses(n1, family))
         _check_roots(roots, f, ctx)
         return tuple(roots)
-
-
-def _bracket_interior(f, n1):
-    """Bracket the n1-1 interior roots by sign changes, return midpoints."""
-    samples = max(400, 200 * n1)
-    lo, hi = mp.mpf(10) ** -8, 1 - mp.mpf(10) ** -8
-    grid = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
-    vals = [f(t)[0] for t in grid]
-    mids = []
-    for i in range(samples):
-        if vals[i] == 0:
-            mids.append(grid[i])
-        elif mp.sign(vals[i]) != mp.sign(vals[i + 1]):
-            a, b = grid[i], grid[i + 1]
-            fa = vals[i]
-            for _ in range(40):
-                m = (a + b) / 2
-                fm = f(m)[0]
-                if fm == 0 or mp.sign(fm) == mp.sign(fa):
-                    a, fa = m, fm
-                else:
-                    b = m
-            mids.append((a + b) / 2)
-    if len(mids) != n1 - 1:
-        raise RootConvergenceError(
-            f"expected {n1 - 1} interior roots, bracketed {len(mids)}")
-    return mids
 
 
 def _check_roots(roots, f, ctx):
@@ -217,14 +206,14 @@ def lagrange_coefficients(tau, ctx):
         return tuple(phi), psi, psi_tilde
 
 
-def compute_weights(tau, ctx):
+def compute_weights(phi, ctx):
     """Quadrature weights w_p = int phi_p over [0, 1], by monomial integration.
 
-    Cross-checks the equivalent definition w_p = int phi_p^2 and fails if
-    the two disagree beyond identity_tol.
+    phi are the Lagrange rows from lagrange_coefficients.  Cross-checks the
+    equivalent definition w_p = int phi_p^2 and fails if the two disagree
+    beyond identity_tol.
     """
-    phi, _, _ = lagrange_coefficients(tau, ctx)
-    with mp.workdps(work_digits(ctx, len(tau) - 1)):
+    with mp.workdps(work_digits(ctx, len(phi) - 1)):
         w = tuple(poly_integral01(row) for row in phi)
         w_sq = tuple(poly_integral01(_poly_mul(row, row)) for row in phi)
         dev = max(abs(a - b) for a, b in zip(w, w_sq))
@@ -259,7 +248,7 @@ def make_basis(n, family, ctx):
     require_conditioning(n, ctx)
     tau = compute_nodes(n, family, ctx)
     phi, psi, psi_tilde = lagrange_coefficients(tau, ctx)
-    w = compute_weights(tau, ctx)
+    w = compute_weights(phi, ctx)
     tol = ctx.identity_tol
     with mp.workdps(work_digits(ctx, n)):
         if any(wp <= 0 for wp in w):

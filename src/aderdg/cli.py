@@ -219,17 +219,12 @@ def cmd_verify(args, cfg):
         checks.append((lbl, r, r <= tol))
     # interior-node quadrature is exact one degree further than Radau
     b_order = 2 * n + 2 if args.family == "gauss-legendre" else 2 * n + 1
-    checks.append((f"quadrature order B({b_order})",
-                   check_simplifying(tab, "B", b_order, ctx), None))
-    checks.append(("stage order C(N)",
-                   check_simplifying(tab, "C", n, ctx) if n >= 1 else mp.mpf(0),
-                   None))
-    checks.append(("weighted stage order D(N)",
-                   check_simplifying(tab, "D", n, ctx) if n >= 1 else mp.mpf(0),
-                   None))
-    for i in range(6, 9):
-        lbl, r, _ = checks[i]
-        checks[i] = (lbl, r, r <= tol)
+    orders = ((f"quadrature order B({b_order})", "B", b_order),
+              ("stage order C(N)", "C", n),
+              ("weighted stage order D(N)", "D", n))
+    for lbl, which, order in orders:
+        r = check_simplifying(tab, which, order, ctx) if order >= 1 else mp.mpf(0)
+        checks.append((lbl, r, r <= tol))
     cn1 = check_simplifying(tab, "C", n + 1, ctx)
     if args.family == "radau-right":
         checks.append(("stage order C(N+1)", cn1, cn1 <= tol))

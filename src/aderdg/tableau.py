@@ -15,9 +15,9 @@ import mpmath as mp
 
 from . import linalg
 from .arith import format_decimal, parse_decimal
-from .basis import (BasisError, NodalBasis, _poly_mul, lagrange_coefficients,
-                    make_basis, poly_integral01, require_conditioning,
-                    work_digits)
+from .basis import (FAMILIES, NodalBasis, _poly_mul, compute_nodes,
+                    lagrange_coefficients, make_basis, poly_integral01,
+                    require_conditioning, work_digits)
 
 SCHEMA_VERSION = 1
 
@@ -270,6 +270,7 @@ def import_tableau(document, ctx):
         doc = json.loads(document) if isinstance(document, str) else dict(document)
         n = int(doc["n"])
         family = doc["family"]
+        digits = int(doc["digits"])
         if doc["schema_version"] != SCHEMA_VERSION:
             raise TableauError(f"unsupported schema_version {doc['schema_version']}")
         tau = tuple(parse_decimal(s, ctx) for s in doc["tau"])
@@ -283,21 +284,36 @@ def import_tableau(document, ctx):
         if isinstance(exc, TableauError):
             raise
         raise TableauError(f"malformed tableau document: {exc}") from exc
+    if family not in FAMILIES:
+        raise ImportVerificationError(f"unknown node family: {family!r}")
+    n1 = n + 1
+    if n < 0 or any(len(v) != n1 for v in (tau, w, psi, psi_tilde)) or \
+       any(len(m) != n1 or any(len(row) != n1 for row in m) for m in (kappa, a)):
+        raise ImportVerificationError(f"stored arrays do not fit degree N={n}")
+    tol = max(ctx.identity_tol, mp.mpf(10) ** (-digits + 10))
+
+    def require(dev, what):
+        if dev > tol:
+            raise ImportVerificationError(f"{what}, deviation {mp.nstr(dev, 5)}")
+
+    require(max(abs(x - y) for x, y in zip(tau, compute_nodes(n, family, ctx))),
+            f"stored nodes are not the {family} nodes")
     # the basis polynomials are a pure function of the nodes
     phi, psi_c, psit_c = lagrange_coefficients(tau, ctx)
+    require(max(abs(x - y) for x, y in zip(psi + psi_tilde, psi_c + psit_c)),
+            "stored boundary traces disagree with nodes")
     basis = NodalBasis(n=n, family=family, tau=tau, w=w, phi=phi,
                        psi=psi, psi_tilde=psi_tilde,
                        work_dps=work_digits(ctx, n))
-    tol = max(ctx.identity_tol,
-              mp.mpf(10) ** (-int(doc["digits"]) + 10))
-    if max(abs(x - y) for x, y in zip(psi, psi_c)) > tol or \
-       max(abs(x - y) for x, y in zip(psi_tilde, psit_c)) > tol:
-        raise ImportVerificationError("stored boundary traces disagree with nodes")
     tab = AderDgTableau(n=n, basis=basis, kappa=kappa, a=a,
-                        stages=n + 1, digits=int(doc["digits"]))
-    residuals = verify_lemma21(tab, ctx)
-    if max(residuals) > tol:
-        raise ImportVerificationError(
-            f"imported tableau fails identity check, residual "
-            f"{mp.nstr(max(residuals), 5)}")
+                        stages=n1, digits=digits)
+    require(check_simplifying(tab, "B", 2 * n + 1, ctx),
+            f"stored weights fail quadrature order B({2 * n + 1})")
+    with mp.workdps(basis.work_dps):
+        ka = linalg.mat_mul([list(r) for r in kappa], [list(r) for r in a])
+        require(max(abs(ka[p][q] - (w[p] if p == q else 0))
+                    for p in range(n1) for q in range(n1)),
+                "stored stage matrix fails kappa a = diag(w)")
+    require(max(verify_lemma21(tab, ctx)),
+            "imported tableau fails identity check")
     return tab

@@ -5,8 +5,8 @@ import pytest
 
 from aderdg.arith import make_context
 from aderdg.basis import (BasisError, compute_nodes, compute_weights,
-                          eval_basis, make_basis, require_conditioning,
-                          shifted_legendre)
+                          eval_basis, lagrange_coefficients, make_basis,
+                          require_conditioning, shifted_legendre)
 
 CTX = make_context(60)
 
@@ -43,7 +43,7 @@ def test_radau_nodes_n1_closed_form():
 
 @pytest.mark.parametrize("family", ["gauss-legendre", "radau-left",
                                     "radau-right"])
-@pytest.mark.parametrize("n", [0, 1, 3, 7, 12])
+@pytest.mark.parametrize("n", [0, 1, 3, 7, 12, 24])
 def test_basis_invariants(n, family):
     b = make_basis(n, family, CTX)
     with CTX.workdps():
@@ -56,13 +56,49 @@ def test_basis_invariants(n, family):
 
 
 def test_quadrature_exactness_monomials():
-    # exact through degree 2N+1 for the interior-node family
-    for n in (1, 3, 6):
-        b = make_basis(n, "gauss-legendre", CTX)
+    # exact through degree 2N+1 for the interior-node family, 2N for Radau
+    for family, top in (("gauss-legendre", 2), ("radau-left", 1),
+                        ("radau-right", 1)):
+        for n in (1, 3, 6, 12):
+            b = make_basis(n, family, CTX)
+            with CTX.workdps():
+                for r in range(2 * n + top):
+                    s = mp.fsum(b.w[p] * b.tau[p] ** r for p in range(n + 1))
+                    assert abs(s - mp.mpf(1) / (r + 1)) < CTX.identity_tol
+
+
+def test_radau_left_mirrors_radau_right():
+    for n in range(25):
+        right = compute_nodes(n, "radau-right", CTX)
+        left = compute_nodes(n, "radau-left", CTX)
         with CTX.workdps():
-            for r in range(2 * n + 2):
-                s = mp.fsum(b.w[p] * b.tau[p] ** r for p in range(n + 1))
-                assert abs(s - mp.mpf(1) / (r + 1)) < CTX.identity_tol
+            assert max(abs(x - (1 - y)) for x, y in zip(left, right[::-1])) \
+                < CTX.identity_tol
+
+
+# radau-right N=12 at 60 digits, from the earlier sign-change bracketing
+RADAU_RIGHT_12 = (
+    "0.0085390549884274193686644608778398028060904145665777",
+    "0.044446463155407723025466798785552766241309303788997",
+    "0.1068544908834766576341067704324992625897998143695",
+    "0.19215105452985404099105725622861333038270136702152",
+    "0.29538088426258022162291683437601490593989071331085",
+    "0.41054508120145768248903435055933241184331869519092",
+    "0.53095084931281767062893024289681813932450826350163",
+    "0.6496006502772549927662917233429805722256531182773",
+    "0.75959888952522705374260257404342034194220643508854",
+    "0.85455254376493588079021191640561712848595950373956",
+    "0.92894210126441101784881015513431529985049324147698",
+    "0.97843793683414963909190691691699603836806912966763",
+    "1")
+
+
+def test_radau_right_n12_pinned():
+    tau = compute_nodes(12, "radau-right", CTX)
+    with CTX.workdps():
+        assert len(tau) == len(RADAU_RIGHT_12)
+        for t, want in zip(tau, RADAU_RIGHT_12):
+            assert abs(t - mp.mpf(want)) < mp.mpf(10) ** -50
 
 
 def test_interpolation_exactness():
@@ -134,7 +170,8 @@ def test_eval_basis_matches_horner(n, family):
 
 
 def test_weights_n1_are_half():
-    w = compute_weights(compute_nodes(1, "gauss-legendre", CTX), CTX)
+    tau = compute_nodes(1, "gauss-legendre", CTX)
+    w = compute_weights(lagrange_coefficients(tau, CTX)[0], CTX)
     with CTX.workdps():
         assert abs(w[0] - mp.mpf(1) / 2) < CTX.identity_tol
         assert abs(w[1] - mp.mpf(1) / 2) < CTX.identity_tol

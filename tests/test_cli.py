@@ -1,6 +1,7 @@
 import json
 import os
 
+import mpmath as mp
 import pytest
 
 from aderdg.cli import main
@@ -65,6 +66,23 @@ def test_tableau_check_rejects_corrupt(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run("tableau", "--check", str(bad), "--digits", "60") == 2
+
+
+def test_tableau_check_rejects_tampered_stage_matrix(tmp_path, capsys):
+    # a[0][0] + 0.01, compensated in a[1][0] so Lemma 2.1 still holds
+    ctx = make_context(60)
+    tab = build_tableau(3, "gauss-legendre", ctx)
+    doc = json.loads(export_tableau(tab))
+    with ctx.workdps():
+        shift = mp.mpf("0.01")
+        doc["a"][0][0] = mp.nstr(tab.a[0][0] + shift, 62)
+        doc["a"][1][0] = mp.nstr(
+            tab.a[1][0] - shift * tab.basis.psi_tilde[0] / tab.basis.psi_tilde[1],
+            62)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("tableau", "--check", str(bad), "--digits", "60") == 2
+    assert "kappa a" in capsys.readouterr().err
 
 
 def test_tableau_insufficient_digits_is_usage():

@@ -171,6 +171,53 @@ def test_import_rejects_corruption():
         import_tableau(json.dumps(doc), CTX)
 
 
+def test_import_rejects_tampered_stage_matrix():
+    # a[0][0] + 0.01, compensated in a[1][0] so that Lemma 2.1 still holds
+    tab = _tab(3)
+    doc = json.loads(export_tableau(tab))
+    with CTX.workdps():
+        shift = mp.mpf("0.01")
+        comp = shift * tab.basis.psi_tilde[0] / tab.basis.psi_tilde[1]
+        doc["a"][0][0] = mp.nstr(tab.a[0][0] + shift, 62)
+        doc["a"][1][0] = mp.nstr(tab.a[1][0] - comp, 62)
+        back_a = [[mp.mpf(x) for x in row] for row in doc["a"]]
+        assert max(abs(mp.fsum(back_a[p][q] * tab.basis.psi_tilde[p]
+                               for p in range(4)) - tab.basis.w[q])
+                   for q in range(4)) < CTX.identity_tol
+    with pytest.raises(ImportVerificationError, match="kappa a"):
+        import_tableau(json.dumps(doc), CTX)
+
+
+def test_import_rejects_tampered_nodes():
+    doc = json.loads(export_tableau(_tab(3)))
+    with CTX.workdps():
+        doc["tau"][1] = mp.nstr(mp.mpf(doc["tau"][1]) + mp.mpf(10) ** -40, 62)
+    with pytest.raises(ImportVerificationError, match="nodes"):
+        import_tableau(json.dumps(doc), CTX)
+    # a self-consistent Gauss tableau stored under another family's name
+    doc = json.loads(export_tableau(_tab(3)))
+    doc["family"] = "radau-right"
+    with pytest.raises(ImportVerificationError, match="radau-right nodes"):
+        import_tableau(json.dumps(doc), CTX)
+
+
+def test_import_rejects_unknown_family():
+    doc = json.loads(export_tableau(_tab(2)))
+    doc["family"] = "chebyshev"
+    with pytest.raises(ImportVerificationError):
+        import_tableau(json.dumps(doc), CTX)
+
+
+def test_import_rejects_shape_mismatch():
+    doc = json.loads(export_tableau(_tab(3)))
+    for n in (2, 4):
+        with pytest.raises(ImportVerificationError, match="do not fit"):
+            import_tableau(json.dumps(dict(doc, n=n)), CTX)
+    ragged = dict(doc, a=[row[:3] for row in doc["a"]])
+    with pytest.raises(ImportVerificationError, match="do not fit"):
+        import_tableau(json.dumps(ragged), CTX)
+
+
 def test_import_rejects_malformed():
     with pytest.raises(TableauError):
         import_tableau("{\"n\": 2}", CTX)
