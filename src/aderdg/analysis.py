@@ -14,7 +14,10 @@ import mpmath as mp
 
 from .basis import (compute_nodes, compute_weights, eval_basis,
                     lagrange_coefficients)
-from .solver import combine_basis, eval_local, trajectory_eval
+from .problems import build_oracle_reference
+from .solver import (SolverConfig, combine_basis, eval_local, integrate,
+                     trajectory_eval)
+from .tableau import build_tableau
 
 # column layout of the order table, matching the reference presentation
 ORDER_COLUMNS = ("n_final", "n_l1", "n_l2", "n_linf", "p_G",
@@ -26,6 +29,11 @@ ERROR_FIELDS = ("n_l1", "n_l2", "n_linf", "n_final",
                 "lq_l1", "lq_l2", "lq_linf",
                 "ln_l1", "ln_l2", "ln_linf", "ln_final",
                 "l_l1", "l_l2", "l_linf")
+
+
+# samples per interval for the continuous sup-norm, before golden-section
+# refinement around the best one
+SUP_SAMPLES = 64
 
 
 class AnalysisError(ValueError):
@@ -56,9 +64,7 @@ class ConvergenceTable:
     trajectories: Optional[dict] = None
 
 
-def _vec_err(u, v, norm):
-    if norm == "euclid":
-        return mp.sqrt(mp.fsum(abs(a - b) ** 2 for a, b in zip(u, v)))
+def _vec_err(u, v):
     return max(abs(a - b) for a, b in zip(u, v))
 
 
@@ -85,7 +91,7 @@ def _golden_max(f, lo, hi, iters=40):
     return max(f1, f2)
 
 
-def compute_errors(traj, reference, ctx, *, norm="max", sup_samples=64):
+def compute_errors(traj, reference, ctx):
     """All 14 global error measures of a trajectory against a reference.
 
     Node sums run n = 0..M weighting term n by the step of interval
@@ -103,7 +109,7 @@ def compute_errors(traj, reference, ctx, *, norm="max", sup_samples=64):
         dtn = lambda i: traj.locals[min(i, m - 1)].dt_n
 
         # node solution
-        node_err = [_vec_err(traj.values[i], ref_nodes[i], norm)
+        node_err = [_vec_err(traj.values[i], ref_nodes[i])
                     for i in range(m + 1)]
         e = {}
         e["n_l1"] = mp.fsum(dtn(i) * node_err[i] for i in range(m + 1))
@@ -114,7 +120,7 @@ def compute_errors(traj, reference, ctx, *, norm="max", sup_samples=64):
 
         # local solution at grid nodes (left interval at interior nodes)
         ln_err = [_vec_err(trajectory_eval(traj, traj.times[i]),
-                           ref_nodes[i], norm) for i in range(m + 1)]
+                           ref_nodes[i]) for i in range(m + 1)]
         e["ln_l1"] = mp.fsum(dtn(i) * ln_err[i] for i in range(m + 1))
         e["ln_l2"] = mp.sqrt(mp.fsum(dtn(i) * ln_err[i] ** 2
                                      for i in range(m + 1)))
@@ -127,7 +133,7 @@ def compute_errors(traj, reference, ctx, *, norm="max", sup_samples=64):
         for i, loc in enumerate(traj.locals):
             for p in range(tab.stages):
                 t_np = loc.t_n + basis.tau[p] * loc.dt_n
-                err = _vec_err(loc.qhat[p], reference(t_np), norm)
+                err = _vec_err(loc.qhat[p], reference(t_np))
                 pts.append((t_np, err))
         lq_l1 = lq_l2 = mp.mpf(0)
         lq_linf = mp.mpf(0)
@@ -144,27 +150,27 @@ def compute_errors(traj, reference, ctx, *, norm="max", sup_samples=64):
         # basis values are tabulated once
         qtau, qw = _gauss_rule(n + 8, ctx)
         q_basis = [eval_basis(basis, tq) for tq in qtau]
-        s_basis = [eval_basis(basis, mp.mpf(i) / (sup_samples - 1))
-                   for i in range(sup_samples)]
+        s_basis = [eval_basis(basis, mp.mpf(i) / (SUP_SAMPLES - 1))
+                   for i in range(SUP_SAMPLES)]
         l_l1 = l_l2 = mp.mpf(0)
         l_linf = mp.mpf(0)
         for loc in traj.locals:
             def err_at(t):
-                return _vec_err(eval_local(loc, basis, t), reference(t), norm)
+                return _vec_err(eval_local(loc, basis, t), reference(t))
 
             def err_tab(t, lvals):
                 return _vec_err(combine_basis(basis, lvals, loc.qhat),
-                                reference(t), norm)
+                                reference(t))
             for tq, wq, lvals in zip(qtau, qw, q_basis):
                 v = err_tab(loc.t_n + tq * loc.dt_n, lvals)
                 l_l1 += loc.dt_n * wq * v
                 l_l2 += loc.dt_n * wq * v ** 2
-            ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (sup_samples - 1)
-                  for i in range(sup_samples)]
+            ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (SUP_SAMPLES - 1)
+                  for i in range(SUP_SAMPLES)]
             vals = [err_tab(t, lvals) for t, lvals in zip(ts, s_basis)]
-            best = max(range(sup_samples), key=lambda i: vals[i])
+            best = max(range(SUP_SAMPLES), key=lambda i: vals[i])
             lo = ts[max(best - 1, 0)]
-            hi = ts[min(best + 1, sup_samples - 1)]
+            hi = ts[min(best + 1, SUP_SAMPLES - 1)]
             l_linf = max(l_linf, vals[best], _golden_max(err_at, lo, hi))
         e["l_l1"], e["l_l2"], e["l_linf"] = l_l1, mp.sqrt(l_l2), l_linf
 
@@ -207,73 +213,29 @@ def fit_order(points, floor=None):
     return slope, rms
 
 
-def _study_cell(spec, n, m, digits, norm):
-    """One (N, M) run as a picklable unit for the process pool.
-
-    Rebuilds everything from the problem spec string; errors travel back
-    as decimal strings because worker precision state does not.
-    """
-    from .arith import make_context
-    from .problems import catalog_lookup
-    from .solver import SolverConfig, integrate
-    from .tableau import build_tableau
-
-    ctx = make_context(digits)
-    entry = catalog_lookup(spec)
-    tab = build_tableau(n, "gauss-legendre", ctx)
-    traj = integrate(tab, entry.problem, m, SolverConfig(), ctx)
-    rep = compute_errors(traj, entry.problem.exact, ctx, norm=norm)
-    nd = digits + 20
-    return (n, m, mp.nstr(rep.dt, nd),
-            {k: mp.nstr(v, nd) for k, v in rep.errors.items()})
-
-
-def convergence_study(entry, n_values, m_values, ctx, *, config=None,
-                      norm="max", keep_trajectories=False,
-                      oracle_kwargs=None, progress=None,
-                      jobs=1, problem_spec=None):
-    """Run the (N, M) sweep for a catalog entry and fit all 14 orders.
-
-    With jobs > 1 the cells run in a process pool; that path needs a
-    problem_spec string, an exact reference, default solver settings, and
-    keep_trajectories off, else the sweep falls back to sequential.
-    """
-    from .solver import SolverConfig, integrate
-    from .tableau import build_tableau
-
+def convergence_study(entry, n_values, m_values, ctx, *,
+                      keep_trajectories=False):
+    """Run the (N, M) sweep for a catalog entry and fit all 14 orders."""
     if any(m < 1 for m in m_values):
         raise AnalysisError("all interval counts must be >= 1")
-    if (jobs > 1 and problem_spec is not None and config is None
-            and not keep_trajectories and entry.problem.exact is not None):
-        return _parallel_study(problem_spec, n_values, m_values, ctx,
-                               norm=norm, jobs=jobs, progress=progress)
     if entry.problem.exact is not None:
         reference = entry.problem.exact
     elif entry.reference_kind == "high-order-oracle":
-        from .problems import build_oracle_reference
         reference = build_oracle_reference(
-            entry, max(n_values), max(m_values), ctx, **(oracle_kwargs or {}))
+            entry, max(n_values), max(m_values), ctx)
     else:
         raise AnalysisError(f"problem {entry.name!r} has no reference")
-    if config is None:
-        config = SolverConfig()
 
     reports = {}
     trajectories = {} if keep_trajectories else None
     for n in n_values:
         tab = build_tableau(n, "gauss-legendre", ctx)
         for m in m_values:
-            traj = integrate(tab, entry.problem, m, config, ctx)
-            reports[(n, m)] = compute_errors(traj, reference, ctx, norm=norm)
+            traj = integrate(tab, entry.problem, m, SolverConfig(), ctx)
+            reports[(n, m)] = compute_errors(traj, reference, ctx)
             if keep_trajectories:
                 trajectories[(n, m)] = traj
-            if progress:
-                progress(n, m)
-    return _fitted_table(n_values, m_values, reports, ctx, trajectories)
 
-
-def _fitted_table(n_values, m_values, reports, ctx, trajectories=None):
-    """Fit all 14 orders per N over the M sweep and assemble the table."""
     orders = {}
     floor = 10 ** 6 * ctx.unit_roundoff
     for n in n_values:
@@ -286,24 +248,6 @@ def _fitted_table(n_values, m_values, reports, ctx, trajectories=None):
     return ConvergenceTable(n_values=tuple(n_values), m_values=tuple(m_values),
                             orders=orders, reports=reports,
                             trajectories=trajectories)
-
-
-def _parallel_study(spec, n_values, m_values, ctx, *, norm, jobs, progress):
-    import concurrent.futures
-
-    reports = {}
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = [pool.submit(_study_cell, spec, n, m, ctx.decimal_digits, norm)
-                for n in n_values for m in m_values]
-        for fut in concurrent.futures.as_completed(futs):
-            n, m, dt_s, err_s = fut.result()
-            with ctx.workdps(20):
-                reports[(n, m)] = ErrorReport(
-                    n=n, m=m, dt=mp.mpf(dt_s),
-                    errors={k: mp.mpf(v) for k, v in err_s.items()})
-            if progress:
-                progress(n, m)
-    return _fitted_table(n_values, m_values, reports, ctx)
 
 
 def interface_identity_residual(traj, ctx):

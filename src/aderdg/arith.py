@@ -31,7 +31,7 @@ class PrecisionContext:
         return mp.workdps(self.decimal_digits + extra)
 
 
-def make_context(decimal_digits, identity_margin=10):
+def make_context(decimal_digits):
     """Build a PrecisionContext; decimal_digits must be at least 30."""
     decimal_digits = int(decimal_digits)
     if decimal_digits < MIN_DIGITS:
@@ -40,7 +40,7 @@ def make_context(decimal_digits, identity_margin=10):
             " (lower precision cannot support high-degree tableau conditioning)")
     with mp.workdps(decimal_digits + 10):
         unit_roundoff = mp.mpf(10) ** (-decimal_digits)
-        identity_tol = mp.mpf(10) ** (-decimal_digits + identity_margin)
+        identity_tol = mp.mpf(10) ** (-decimal_digits + 10)
     return PrecisionContext(decimal_digits, unit_roundoff, identity_tol)
 
 

@@ -144,8 +144,6 @@ def build_parser(cfg):
                    help="comma separated degrees, e.g. 2,3,4")
     p.add_argument("--m", required=True, metavar="LIST",
                    help="comma separated interval counts, e.g. 4,8,16")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sweep cells")
     p.add_argument("--raw", action="store_true",
                    help="print the raw errors as well as the fitted orders")
     common(p)
@@ -155,7 +153,8 @@ def build_parser(cfg):
                             "rational reference")
     p.add_argument("n", type=int, help="polynomial degree N")
     p.add_argument("--z", metavar="LIST",
-                   help="comma separated points, e.g. -1e8,-1,2+3i")
+                   help="comma separated points, e.g. --z=-1e8,-1,2+3i "
+                        "(a list led by '-' needs the '=')")
     p.add_argument("--axis", choices=("imaginary",),
                    help="sample along an axis instead of explicit points")
     p.add_argument("--count", type=int, default=9,
@@ -241,7 +240,8 @@ def cmd_verify(args, cfg):
         pade_tol = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
         with ctx.workdps(10):
             dev = mp.mpf(0)
-            for z in (mp.mpf(1), mp.mpf(-2), mp.mpc(0, 3), mp.mpc(-1, 1)):
+            # z = 1 is the pole of the N = 0 approximant 1/(1 - z)
+            for z in (mp.mpf(1) / 2, mp.mpf(-2), mp.mpc(0, 3), mp.mpc(-1, 1)):
                 rv = stability_function(tab, z, ctx)
                 pv = pade_exp(n, z, ctx)
                 dev = max(dev, abs(rv - pv) / abs(pv))
@@ -318,11 +318,12 @@ def cmd_converge(args, cfg):
     m_values = _int_list(args.m)
     for n in n_values:
         _require_degree(n, cfg)
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
+    if min(m_values) < 1:
+        raise UsageError("interval counts must be >= 1")
+    if len(set(m_values)) != len(m_values):
+        raise UsageError("interval counts must be distinct")
     entry = catalog_lookup(args.problem)
-    table = convergence_study(entry, n_values, m_values, ctx,
-                              jobs=args.jobs, problem_spec=args.problem)
+    table = convergence_study(entry, n_values, m_values, ctx)
     if args.format == "json":
         doc = {"orders": {str(n): {k: (v if isinstance(v, int)
                                        else mp.nstr(v, 8))

@@ -8,8 +8,8 @@ output between grid nodes.
 """
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import mpmath as mp
 
@@ -44,21 +44,11 @@ class OdeProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    stage_tol: Optional[mp.mpf] = None  # None: 10^(-digits+20) from ctx
     max_newton: int = 60
     jacobian_mode: str = "auto"         # analytic | finite-difference | picard
-    fd_step: Optional[mp.mpf] = None    # None: 10^(-digits/3)
-    lipschitz: Optional[mp.mpf] = None  # picard-mode contraction estimate
 
     def resolved_stage_tol(self, ctx):
-        if self.stage_tol is not None:
-            return self.stage_tol
         return mp.mpf(10) ** (-ctx.decimal_digits + 20)
-
-    def resolved_fd_step(self, ctx):
-        if self.fd_step is not None:
-            return self.fd_step
-        return mp.mpf(10) ** (-(ctx.decimal_digits // 3))
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,8 @@ def _fd_jacobian(problem, u, t, h):
 def _stage_jacobian(problem, config, ctx, u, t):
     if problem.jacobian is not None and config.jacobian_mode in ("auto", "analytic"):
         return [list(r) for r in problem.jacobian(u, t)]
-    return _fd_jacobian(problem, u, t, config.resolved_fd_step(ctx))
+    h = mp.mpf(10) ** (-(ctx.decimal_digits // 3))
+    return _fd_jacobian(problem, u, t, h)
 
 
 def _newton_matrix(tab, jacs, dt):
@@ -232,13 +223,11 @@ def trajectory_eval(traj, t):
     return eval_local(traj.locals[n], traj.tableau.basis, t)
 
 
-def _picard_bound_check(tab, problem, config, ctx, dt):
-    c = config.lipschitz
-    if c is None:
-        with ctx.workdps(10):
-            j = _stage_jacobian(problem, SolverConfig(fd_step=config.fd_step),
-                                ctx, list(problem.u0), problem.t0)
-            c = linalg.max_row_sum(j)
+def _picard_bound_check(tab, problem, ctx, dt):
+    with ctx.workdps(10):
+        j = _stage_jacobian(problem, SolverConfig(), ctx, list(problem.u0),
+                            problem.t0)
+        c = linalg.max_row_sum(j)
     amax = linalg.max_row_sum([list(r) for r in tab.a])
     if not dt * c * amax < 1:
         raise SolverError(
@@ -248,8 +237,6 @@ def _picard_bound_check(tab, problem, config, ctx, dt):
 
 def integrate(tab, problem, grid, config, ctx):
     """Integrate over [t0, tf]; grid is a step count or explicit node list."""
-    if config is None:
-        config = SolverConfig()
     with ctx.workdps(10):
         if isinstance(grid, int):
             if grid < 1:
@@ -264,7 +251,7 @@ def integrate(tab, problem, grid, config, ctx):
                 raise SolverError("node list must span [t0, tf]")
         dts = [times[i + 1] - times[i] for i in range(len(times) - 1)]
         if config.jacobian_mode == "picard":
-            _picard_bound_check(tab, problem, config, ctx, max(dts))
+            _picard_bound_check(tab, problem, ctx, max(dts))
     u = tuple(problem.u0)
     values = [u]
     locals_ = []

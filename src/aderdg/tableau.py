@@ -55,7 +55,8 @@ class QMStability:
 
 
 def _deriv_coeffs(row):
-    return tuple((k + 1) * c for k, c in enumerate(row[1:]))
+    # a constant's derivative is the zero row, not an empty one
+    return tuple((k + 1) * c for k, c in enumerate(row[1:])) or (mp.mpf(0),)
 
 
 def build_kappa(basis, ctx):

@@ -123,18 +123,6 @@ def test_convergence_study_keeps_trajectories():
     assert set(table.trajectories) == {(1, 4), (1, 6), (1, 8)}
 
 
-def test_parallel_study_matches_sequential():
-    entry = harmonic_oscillator()
-    seq = convergence_study(entry, [2], [4, 6, 8], CTX)
-    par = convergence_study(entry, [2], [4, 6, 8], CTX, jobs=3,
-                            problem_spec="harmonic")
-    with CTX.workdps():
-        for name in ERROR_FIELDS:
-            a = seq.orders[2][name]
-            b = par.orders[2][name]
-            assert abs(a - b) < mp.mpf(10) ** -20
-
-
 def test_study_rejects_bad_m():
     entry = harmonic_oscillator()
     with pytest.raises(AnalysisError):

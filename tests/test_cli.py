@@ -1,10 +1,11 @@
 import json
 import os
+import shlex
 
 import mpmath as mp
 import pytest
 
-from aderdg.cli import main
+from aderdg.cli import CONFIG_DEFAULTS, build_parser, main
 from aderdg.tableau import build_tableau, export_tableau
 from aderdg.arith import make_context
 
@@ -29,6 +30,16 @@ def test_verify_passes(capsys):
 
 def test_verify_radau_right(capsys):
     assert run("verify", "1", "--family", "radau-right", "--digits", "60") == 0
+
+
+@pytest.mark.parametrize("family", ["gauss-legendre", "radau-left",
+                                    "radau-right"])
+def test_degree_zero_verifies_and_round_trips(family, tmp_path, capsys):
+    assert run("verify", "0", "--family", family, "--digits", "60") == 0
+    path = str(tmp_path / "tab0.json")
+    assert run("tableau", "0", "--family", family, "--digits", "60",
+               "--format", "json", "--out", path) == 0
+    assert run("tableau", "--check", path, "--digits", "60") == 0
 
 
 def test_verify_rejects_degree_above_cap():
@@ -124,14 +135,13 @@ def test_converge_bad_lists():
                "--digits", "60") == 1
     assert run("converge", "harmonic", "--n", "2", "--m", "",
                "--digits", "60") == 1
-
-
-def test_converge_parallel_json(capsys):
-    assert run("converge", "harmonic", "--n", "1", "--m", "4,6,8",
-               "--digits", "60", "--jobs", "2", "--format", "json",
-               "--raw") == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert "1" in doc["orders"] and "1,6" in doc["errors"]
+    # bad interval counts are usage errors, caught before any cell runs
+    assert run("converge", "harmonic", "--n", "2", "--m", "0,4,8",
+               "--digits", "60") == 1
+    assert run("converge", "harmonic", "--n", "2", "--m", "4,4,8",
+               "--digits", "60") == 1
+    assert run("converge", "harmonic", "--n", "2", "--m", "4,6,8",
+               "--digits", "60", "--jobs", "2") == 1
 
 
 def test_stability_default_grid(capsys):
@@ -157,3 +167,18 @@ def test_stability_imaginary_axis(capsys):
 
 def test_stability_bad_z():
     assert run("stability", "1", "--digits", "60", "--z", "zzz") == 1
+
+
+def test_readme_command_lines_parse():
+    # every example in the README's "Command line" block must parse
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [ln.split("#", 1)[0] for ln in block.splitlines()
+             if ln.startswith("aderdg ")]
+    assert len(lines) >= 5
+    parser = build_parser(CONFIG_DEFAULTS)
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command

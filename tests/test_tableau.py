@@ -54,7 +54,7 @@ def test_kappa_n1_closed_form():
 
 @pytest.mark.parametrize("family", ["gauss-legendre", "radau-left",
                                     "radau-right"])
-@pytest.mark.parametrize("n", [1, 4, 9])
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
 def test_coupling_identities_all_families(n, family):
     tab = _tab(n, family)
     assert max(verify_lemma21(tab, CTX)) <= CTX.identity_tol
