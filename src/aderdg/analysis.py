@@ -6,14 +6,12 @@ local solution at grid nodes, and three continuous norms of the local
 solution.  Orders come from a least-squares fit of lg e against lg dt.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
 
-from .basis import (compute_nodes, compute_weights, eval_basis,
-                    lagrange_coefficients)
+from .basis import eval_basis, gauss_rule
 from .problems import build_oracle_reference
 from .solver import (SolverConfig, combine_basis, eval_local, integrate,
                      trajectory_eval)
@@ -148,7 +146,7 @@ def compute_errors(traj, reference, ctx):
         # continuous norms of the local solution; the Gauss points and the
         # sup-norm samples sit at the same tau in every interval, so their
         # basis values are tabulated once
-        qtau, qw = _gauss_rule(n + 8, ctx)
+        qtau, qw = gauss_rule(n + 7, ctx)
         q_basis = [eval_basis(basis, tq) for tq in qtau]
         s_basis = [eval_basis(basis, mp.mpf(i) / (SUP_SAMPLES - 1))
                    for i in range(SUP_SAMPLES)]
@@ -176,13 +174,6 @@ def compute_errors(traj, reference, ctx):
 
         return ErrorReport(n=n, m=m, dt=max(loc.dt_n for loc in traj.locals),
                            errors=e)
-
-
-@functools.lru_cache(maxsize=32)
-def _gauss_rule(points, ctx):
-    """Nodes and weights of the points-point Gauss rule on [0, 1]."""
-    qtau = compute_nodes(points - 1, "gauss-legendre", ctx)
-    return qtau, compute_weights(lagrange_coefficients(qtau, ctx)[0], ctx)
 
 
 def fit_order(points, floor=None):
@@ -218,6 +209,8 @@ def convergence_study(entry, n_values, m_values, ctx, *,
     """Run the (N, M) sweep for a catalog entry and fit all 14 orders."""
     if any(m < 1 for m in m_values):
         raise AnalysisError("all interval counts must be >= 1")
+    if len(set(m_values)) != len(m_values):
+        raise AnalysisError("interval counts must be distinct")
     if entry.problem.exact is not None:
         reference = entry.problem.exact
     elif entry.reference_kind == "high-order-oracle":

@@ -2,12 +2,13 @@
 
 Nodes are roots of the shifted Legendre polynomial of degree N+1
 (gauss-legendre family) or of its Radau combinations.  The basis is kept
-in monomial form: weights and all coefficient integrals reduce to exact
-monomial integration, so residuals of downstream identities reflect only
-rounding.  Monomial coefficients grow roughly like 4^N, hence all
-construction and evaluation runs at an elevated internal precision.
+in nodal form only: the nodes, their barycentric weights lam and the
+quadrature weights w.  Values come from the barycentric formula, weights
+from the closed-form Gauss rule, which integrates every basis polynomial
+exactly (Berrut & Trefethen, SIAM Rev. 46(3), 2004).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,14 +33,17 @@ class NodalBasis:
     family: str
     tau: tuple                  # nodes, ascending in [0, 1]
     w: tuple                    # quadrature weights, sum to 1
-    phi: tuple                  # (N+1)x(N+1) monomial coefficients, phi[p][k]
-    psi: tuple                  # phi_p(0)
-    psi_tilde: tuple            # phi_p(1)
-    work_dps: int = field(default=0, compare=False)
+    lam: tuple                  # barycentric weights of the nodes
+    psi: tuple                  # l_p(0)
+    psi_tilde: tuple            # l_p(1)
+    work_dps: int = field(compare=False)
 
 
 def work_digits(ctx, n):
-    """Internal working digits absorbing ~4^N monomial coefficient growth."""
+    """Internal working digits: decimal_digits plus max(10, 1.2N + 15).
+
+    Sized for the ~4^N growth of a monomial basis, which the nodal form
+    lacks; kept because every stored coefficient is built at it."""
     return ctx.decimal_digits + max(10, int(1.2 * n) + 15)
 
 
@@ -51,29 +55,22 @@ def require_conditioning(n, ctx):
             f"need at least {math.ceil(need)}")
 
 
-def shifted_legendre(n_poly, tau, ctx=None):
+def shifted_legendre(n_poly, tau):
     """Value and derivative of the shifted Legendre polynomial on [0, 1].
 
-    Three-term recurrence in x = 2*tau - 1; runs at the ambient precision
-    when ctx is None.
+    Three-term recurrence in x = 2*tau - 1, at the ambient precision.
     """
-    def compute():
-        x = 2 * mp.mpf(tau) - 1
-        p_prev, p = mp.mpf(1), x
-        d_prev, d = mp.mpf(0), mp.mpf(2)
-        if n_poly == 0:
-            return p_prev, d_prev
-        for k in range(1, n_poly):
-            p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-            d_next = ((2 * k + 1) * (2 * p + x * d) - k * d_prev) / (k + 1)
-            p_prev, p = p, p_next
-            d_prev, d = d, d_next
-        return p, d
-
-    if ctx is None:
-        return compute()
-    with ctx.workdps():
-        return compute()
+    x = 2 * mp.mpf(tau) - 1
+    p_prev, p = mp.mpf(1), x
+    d_prev, d = mp.mpf(0), mp.mpf(2)
+    if n_poly == 0:
+        return p_prev, d_prev
+    for k in range(1, n_poly):
+        p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        d_next = ((2 * k + 1) * (2 * p + x * d) - k * d_prev) / (k + 1)
+        p_prev, p = p, p_next
+        d_prev, d = d, d_next
+    return p, d
 
 
 def _family_poly(n1, family):
@@ -167,100 +164,109 @@ def _check_roots(roots, f, ctx):
             raise BasisError("nodes not strictly ascending")
 
 
-def _poly_mul(a, b):
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+def barycentric_weights(tau, ctx):
+    """lam_p = 1 / prod_{k != p} (tau_p - tau_k) for the nodes tau."""
+    if len(set(tau)) != len(tau):
+        raise BasisError("coincident interpolation nodes")
+    with mp.workdps(work_digits(ctx, len(tau) - 1)):
+        return tuple(1 / mp.fprod(tp - tk for k, tk in enumerate(tau) if k != p)
+                     for p, tp in enumerate(tau))
 
 
-def poly_integral01(coeffs):
-    """Exact integral over [0, 1] of a polynomial in monomial form."""
-    return mp.fsum(c / (k + 1) for k, c in enumerate(coeffs))
+def _lagrange_values(tau, lam, t):
+    # second barycentric form at the ambient precision; a t on a node gives
+    # the exact Kronecker delta
+    terms = []
+    for p, tp in enumerate(tau):
+        if t == tp:
+            return tuple(mp.mpf(int(q == p)) for q in range(len(tau)))
+        terms.append(lam[p] / (t - tp))
+    total = mp.fsum(terms)
+    return tuple(term / total for term in terms)
 
 
-def lagrange_coefficients(tau, ctx):
-    """Monomial coefficients phi[p][k] of the Lagrange basis, plus traces.
+def _check_moments(tau, w, top, ctx):
+    dev = max(abs(mp.fsum(wp * tp ** r for wp, tp in zip(w, tau))
+                  - mp.mpf(1) / (r + 1)) for r in range(top + 1))
+    if dev > ctx.identity_tol:
+        raise BasisError(
+            f"quadrature misses a moment of degree <= {top} "
+            f"by {mp.nstr(dev, 5)}")
 
-    Returns (phi, psi, psi_tilde) with psi_p = phi_p(0), psi_tilde_p = phi_p(1).
+
+@functools.lru_cache(maxsize=32)
+def gauss_rule(n, ctx):
+    """Nodes and weights of the (n+1)-point Gauss-Legendre rule on [0, 1].
+
+    w_p = 1 / (tau_p (1 - tau_p) P~'_{n+1}(tau_p)^2), the closed form of
+    Abramowitz & Stegun 25.4.29 mapped to [0, 1]; checked on the moments
+    the rule integrates exactly, degree 2n+1 and below.
     """
-    n1 = len(tau)
-    with mp.workdps(work_digits(ctx, n1 - 1)):
-        for p in range(n1):
-            for q in range(p + 1, n1):
-                if tau[p] == tau[q]:
-                    raise BasisError("coincident interpolation nodes")
-        phi = []
-        for p in range(n1):
-            coeffs = [mp.mpf(1)]
-            denom = mp.mpf(1)
-            for k in range(n1):
-                if k == p:
-                    continue
-                coeffs = _poly_mul(coeffs, [-tau[k], mp.mpf(1)])
-                denom *= tau[p] - tau[k]
-            phi.append(tuple(c / denom for c in coeffs))
-        psi = tuple(row[0] for row in phi)
-        psi_tilde = tuple(mp.fsum(row) for row in phi)
-        return tuple(phi), psi, psi_tilde
+    tau = compute_nodes(n, "gauss-legendre", ctx)
+    with mp.workdps(work_digits(ctx, n)):
+        w = tuple(1 / (t * (1 - t) * shifted_legendre(n + 1, t)[1] ** 2)
+                  for t in tau)
+        _check_moments(tau, w, 2 * n + 1, ctx)
+    return tau, w
 
 
-def compute_weights(phi, ctx):
-    """Quadrature weights w_p = int phi_p over [0, 1], by monomial integration.
+def compute_weights(tau, ctx):
+    """Quadrature weights w_p = int l_p over [0, 1] for the nodes tau.
 
-    phi are the Lagrange rows from lagrange_coefficients.  Cross-checks the
-    equivalent definition w_p = int phi_p^2 and fails if the two disagree
-    beyond identity_tol.
+    l_p has degree N, so the (N+1)-point Gauss rule integrates it exactly;
+    on the Gauss nodes the l_p values are Kronecker deltas and w is the
+    Gauss weights themselves.  Every family's rule integrates degree 2N,
+    which is checked on the monomials 1, tau, ..., tau^{2N}.
     """
-    with mp.workdps(work_digits(ctx, len(phi) - 1)):
-        w = tuple(poly_integral01(row) for row in phi)
-        w_sq = tuple(poly_integral01(_poly_mul(row, row)) for row in phi)
-        dev = max(abs(a - b) for a, b in zip(w, w_sq))
-        if dev > ctx.identity_tol:
-            raise BasisError(
-                f"weight definitions disagree by {mp.nstr(dev, 5)}")
+    n = len(tau) - 1
+    g_tau, g_w = gauss_rule(n, ctx)
+    lam = barycentric_weights(tau, ctx)
+    with mp.workdps(work_digits(ctx, n)):
+        vals = [_lagrange_values(tau, lam, t) for t in g_tau]
+        w = tuple(mp.fsum(g * v[p] for g, v in zip(g_w, vals))
+                  for p in range(n + 1))
+        _check_moments(tau, w, 2 * n, ctx)
         return w
 
 
 def eval_basis(basis, tau):
     """Values of all basis polynomials at tau, in barycentric form.
 
-    l_p(tau) = (lam_p / (tau - tau_p)) / sum_k lam_k / (tau - tau_k), where
-    the barycentric weight lam_p = 1 / prod_{k != p} (tau_p - tau_k) is the
-    leading monomial coefficient phi[p][-1] (Berrut & Trefethen, SIAM Rev.
-    46(3), 2004).  O(N) per point and free of the monomial coefficient
-    growth.  A tau on a node gives the exact Kronecker delta.
+    l_p(tau) = (lam_p / (tau - tau_p)) / sum_k lam_k / (tau - tau_k)
+    (Berrut & Trefethen, SIAM Rev. 46(3), 2004, section 4).  O(N) per point;
+    a tau on a node gives the exact Kronecker delta.
     """
-    with mp.workdps(basis.work_dps or mp.mp.dps):
-        tau = mp.mpf(tau)
-        terms = []
-        for p, tp in enumerate(basis.tau):
-            if tau == tp:
-                return tuple(mp.mpf(int(q == p)) for q in range(len(basis.tau)))
-            terms.append(basis.phi[p][-1] / (tau - tp))
-        total = mp.fsum(terms)
-        return tuple(t / total for t in terms)
+    with mp.workdps(basis.work_dps):
+        return _lagrange_values(basis.tau, basis.lam, mp.mpf(tau))
+
+
+def nodal_basis(n, family, tau, w, ctx):
+    """NodalBasis on the nodes tau with weights w; lam and the boundary
+    traces psi_p = l_p(0), psi~_p = l_p(1) follow from the nodes."""
+    lam = barycentric_weights(tau, ctx)
+    dps = work_digits(ctx, n)
+    with mp.workdps(dps):
+        psi, psi_tilde = (_lagrange_values(tau, lam, mp.mpf(t)) for t in (0, 1))
+    return NodalBasis(n=n, family=family, tau=tau, w=w, lam=lam,
+                      psi=psi, psi_tilde=psi_tilde, work_dps=dps)
 
 
 def make_basis(n, family, ctx):
     """Build and validate the full nodal basis for degree n."""
     require_conditioning(n, ctx)
-    tau = compute_nodes(n, family, ctx)
-    phi, psi, psi_tilde = lagrange_coefficients(tau, ctx)
-    w = compute_weights(phi, ctx)
+    # the Gauss rule is cached, and compute_weights needs it for every family
+    tau = (gauss_rule(n, ctx)[0] if family == "gauss-legendre"
+           else compute_nodes(n, family, ctx))
+    b = nodal_basis(n, family, tau, compute_weights(tau, ctx), ctx)
     tol = ctx.identity_tol
-    with mp.workdps(work_digits(ctx, n)):
-        if any(wp <= 0 for wp in w):
+    with mp.workdps(b.work_dps):
+        if any(wp <= 0 for wp in b.w):
             raise BasisError("nonpositive quadrature weight")
-        if abs(mp.fsum(w) - 1) > tol:
-            raise BasisError("weights do not sum to 1")
-        if abs(mp.fsum(psi) - 1) > tol or abs(mp.fsum(psi_tilde) - 1) > tol:
+        if abs(mp.fsum(b.psi) - 1) > tol or abs(mp.fsum(b.psi_tilde) - 1) > tol:
             raise BasisError("boundary traces do not form a partition of unity")
         if family == "gauss-legendre":
             for p in range(n + 1):
-                if abs(tau[p] + tau[n - p] - 1) > tol or abs(w[p] - w[n - p]) > tol:
+                if (abs(tau[p] + tau[n - p] - 1) > tol
+                        or abs(b.w[p] - b.w[n - p]) > tol):
                     raise BasisError("gauss-legendre node/weight symmetry violated")
-    return NodalBasis(n=n, family=family, tau=tau, w=w, phi=phi,
-                      psi=psi, psi_tilde=psi_tilde,
-                      work_dps=work_digits(ctx, n))
+    return b

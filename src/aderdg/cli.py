@@ -357,9 +357,10 @@ def cmd_stability(args, cfg):
             if not zs:
                 raise UsageError("empty --z list")
         else:
+            # z = 1 is the pole of the N = 0 approximant 1/(1 - z)
             zs = [-mp.mpf(10) ** 8, -mp.mpf(10) ** 4, mp.mpf(-100),
                   mp.mpf(-10), mp.mpf(-1), mp.mpc(0, 1), mp.mpc(0, 10),
-                  mp.mpc(-1, 1), mp.mpf(1)]
+                  mp.mpc(-1, 1), mp.mpf(1) / 2]
         rows = []
         for z in zs:
             rv = stability_function(tab, z, ctx)

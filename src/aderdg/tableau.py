@@ -15,9 +15,8 @@ import mpmath as mp
 
 from . import linalg
 from .arith import format_decimal, parse_decimal
-from .basis import (FAMILIES, NodalBasis, _poly_mul, compute_nodes,
-                    lagrange_coefficients, make_basis, poly_integral01,
-                    require_conditioning, work_digits)
+from .basis import (FAMILIES, NodalBasis, compute_nodes, make_basis,
+                    nodal_basis)
 
 SCHEMA_VERSION = 1
 
@@ -54,25 +53,26 @@ class QMStability:
     gershgorin_lower: mp.mpf  # certified lower eigenvalue bound of M
 
 
-def _deriv_coeffs(row):
-    # a constant's derivative is the zero row, not an empty one
-    return tuple((k + 1) * c for k, c in enumerate(row[1:])) or (mp.mpf(0),)
-
-
 def build_kappa(basis, ctx):
-    """kappa_pq = psi~_p psi~_q - int phi_p' phi_q, by monomial integration.
+    """kappa_pq = psi~_p psi~_q - int l_p' l_q, by the basis's own quadrature.
 
-    The equivalent form psi_p psi_q + int phi_p phi_q' must agree to
-    identity_tol; a disagreement signals coefficient corruption.
+    l_p' l_q has degree 2N-1, which every family's rule integrates exactly,
+    so int l_p' l_q = w_q D_qp with the differentiation matrix
+    D_qp = l_p'(tau_q) = (lam_p / lam_q) / (tau_q - tau_p) off the
+    diagonal and the negative row sum on it (Berrut & Trefethen, SIAM Rev.
+    46(3), 2004, section 9).  The equivalent form psi_p psi_q + w_p D_pq,
+    from integration by parts, must agree to identity_tol.
     """
     n1 = basis.n + 1
+    tau, lam, w = basis.tau, basis.lam, basis.w
     with mp.workdps(basis.work_dps):
-        dphi = [_deriv_coeffs(row) for row in basis.phi]
-        cross = [[poly_integral01(_poly_mul(list(dphi[p]), list(basis.phi[q])))
+        d = [[(lam[p] / lam[q]) / (tau[q] - tau[p]) if p != q else 0
+              for p in range(n1)] for q in range(n1)]
+        for q in range(n1):
+            d[q][q] = -mp.fsum(d[q])
+        kappa = [[basis.psi_tilde[p] * basis.psi_tilde[q] - w[q] * d[q][p]
                   for q in range(n1)] for p in range(n1)]
-        kappa = [[basis.psi_tilde[p] * basis.psi_tilde[q] - cross[p][q]
-                  for q in range(n1)] for p in range(n1)]
-        alt = [[basis.psi[p] * basis.psi[q] + cross[q][p]
+        alt = [[basis.psi[p] * basis.psi[q] + w[p] * d[p][q]
                 for q in range(n1)] for p in range(n1)]
         dev = max(abs(kappa[p][q] - alt[p][q])
                   for p in range(n1) for q in range(n1))
@@ -86,7 +86,6 @@ def build_tableau(n, family, ctx):
     """Build the full tableau for degree n; a solved from kappa a = mu."""
     if n < 0:
         raise TableauError("degree must be nonnegative")
-    require_conditioning(n, ctx)
     basis = make_basis(n, family, ctx)
     kappa = build_kappa(basis, ctx)
     n1 = n + 1
@@ -299,13 +298,11 @@ def import_tableau(document, ctx):
 
     require(max(abs(x - y) for x, y in zip(tau, compute_nodes(n, family, ctx))),
             f"stored nodes are not the {family} nodes")
-    # the basis polynomials are a pure function of the nodes
-    phi, psi_c, psit_c = lagrange_coefficients(tau, ctx)
-    require(max(abs(x - y) for x, y in zip(psi + psi_tilde, psi_c + psit_c)),
+    # lam and the boundary traces are a pure function of the nodes
+    basis = nodal_basis(n, family, tau, w, ctx)
+    require(max(abs(x - y) for x, y in zip(psi + psi_tilde,
+                                           basis.psi + basis.psi_tilde)),
             "stored boundary traces disagree with nodes")
-    basis = NodalBasis(n=n, family=family, tau=tau, w=w, phi=phi,
-                       psi=psi, psi_tilde=psi_tilde,
-                       work_dps=work_digits(ctx, n))
     tab = AderDgTableau(n=n, basis=basis, kappa=kappa, a=a,
                         stages=n1, digits=digits)
     require(check_simplifying(tab, "B", 2 * n + 1, ctx),

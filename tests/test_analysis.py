@@ -1,6 +1,7 @@
 import mpmath as mp
 import pytest
 
+from aderdg import analysis
 from aderdg.analysis import (AnalysisError, ZeroErrorFloor, compute_errors,
                              convergence_study, fit_order, format_order_table,
                              format_raw_errors, interface_identity_residual,
@@ -127,6 +128,15 @@ def test_study_rejects_bad_m():
     entry = harmonic_oscillator()
     with pytest.raises(AnalysisError):
         convergence_study(entry, [2], [0, 4, 8], CTX)
+
+
+def test_study_rejects_repeated_m_before_any_cell(monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the M list was checked")
+
+    monkeypatch.setattr(analysis, "integrate", no_cell)
+    with pytest.raises(AnalysisError, match="distinct"):
+        convergence_study(harmonic_oscillator(), [2], [4, 8, 4], CTX)
 
 
 def test_zero_error_floor_on_exact_polynomial():

@@ -5,8 +5,8 @@ import pytest
 
 from aderdg.arith import make_context
 from aderdg.basis import (BasisError, compute_nodes, compute_weights,
-                          eval_basis, lagrange_coefficients, make_basis,
-                          require_conditioning, shifted_legendre)
+                          eval_basis, make_basis, require_conditioning,
+                          shifted_legendre)
 
 CTX = make_context(60)
 
@@ -15,10 +15,10 @@ def test_shifted_legendre_low_degrees():
     # P~_1 = 2t - 1, P~_2 = 6t^2 - 6t + 1 on [0, 1]
     with CTX.workdps():
         t = mp.mpf(3) / 7
-        v1, d1 = shifted_legendre(1, t, CTX)
+        v1, d1 = shifted_legendre(1, t)
         assert abs(v1 - (2 * t - 1)) < CTX.identity_tol
         assert abs(d1 - 2) < CTX.identity_tol
-        v2, d2 = shifted_legendre(2, t, CTX)
+        v2, d2 = shifted_legendre(2, t)
         assert abs(v2 - (6 * t ** 2 - 6 * t + 1)) < CTX.identity_tol
         assert abs(d2 - (12 * t - 6)) < CTX.identity_tol
 
@@ -143,9 +143,18 @@ def test_psi_is_kronecker_at_nodes():
 
 
 def _horner_basis(b, t):
+    # monomial rows of l_p = prod_{k != p} (t - tau_k) / (tau_p - tau_k),
+    # expanded from the nodes alone and evaluated by Horner's rule
     with mp.workdps(b.work_dps):
         out = []
-        for row in b.phi:
+        for p, tp in enumerate(b.tau):
+            row = [mp.mpf(1)]
+            for k, tk in enumerate(b.tau):
+                if k != p:
+                    row = [mp.mpf(0)] + row      # multiply by t ...
+                    for i in range(len(row) - 1):
+                        row[i] -= tk * row[i + 1]   # ... minus tau_k
+                    row = [c / (tp - tk) for c in row]
             acc = row[-1]
             for c in reversed(row[:-1]):
                 acc = acc * t + c
@@ -157,7 +166,7 @@ def _horner_basis(b, t):
                                     "radau-right"])
 @pytest.mark.parametrize("n", [1, 4, 12])
 def test_eval_basis_matches_horner(n, family):
-    # the barycentric form against the monomial rows it is derived from
+    # the barycentric form against an independent monomial expansion
     b = make_basis(n, family, CTX)
     rng = random.Random(n)
     with CTX.workdps():
@@ -171,10 +180,20 @@ def test_eval_basis_matches_horner(n, family):
 
 def test_weights_n1_are_half():
     tau = compute_nodes(1, "gauss-legendre", CTX)
-    w = compute_weights(lagrange_coefficients(tau, CTX)[0], CTX)
+    w = compute_weights(tau, CTX)
     with CTX.workdps():
         assert abs(w[0] - mp.mpf(1) / 2) < CTX.identity_tol
         assert abs(w[1] - mp.mpf(1) / 2) < CTX.identity_tol
+
+
+def test_weights_reject_nodes_off_the_rule():
+    # interpolatory weights on perturbed Gauss nodes still integrate degree
+    # N, but miss the degree-2N moments every family's rule must reach
+    tau = list(compute_nodes(4, "gauss-legendre", CTX))
+    with CTX.workdps():
+        tau[2] += mp.mpf(10) ** -30
+    with pytest.raises(BasisError, match="moment"):
+        compute_weights(tuple(tau), CTX)
 
 
 def test_conditioning_guard():

@@ -144,8 +144,10 @@ def test_converge_bad_lists():
                "--digits", "60", "--jobs", "2") == 1
 
 
-def test_stability_default_grid(capsys):
-    assert run("stability", "2", "--digits", "60") == 0
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_stability_default_grid(n, capsys):
+    # N = 0 has its pole at z = 1, which the default grid must avoid
+    assert run("stability", n, "--digits", "60") == 0
     out = capsys.readouterr().out
     assert "-1.0e+8" in out
 

@@ -52,6 +52,47 @@ def test_kappa_n1_closed_form():
                 assert abs(tab.kappa[p][q] - expect[p][q]) < CTX.identity_tol
 
 
+def _monomial_kappa(tau):
+    """Reference kappa and w from monomial coefficients of the Lagrange
+    basis, integrated exactly; independent of any quadrature rule."""
+    n1 = len(tau)
+    phi = []
+    for p, tp in enumerate(tau):
+        row = [mp.mpf(1)]
+        for k, tk in enumerate(tau):
+            if k != p:
+                row = [mp.mpf(0)] + row      # multiply by t ...
+                for i in range(len(row) - 1):
+                    row[i] -= tk * row[i + 1]   # ... minus tau_k
+                row = [c / (tp - tk) for c in row]
+        phi.append(row)
+    # cross[p][q] = int phi_p' phi_q = sum_ij i phi[p][i] phi[q][j] / (i + j)
+    dphi = [[(i + 1) * row[i + 1] for i in range(n1 - 1)] for row in phi]
+    dh = [[mp.fsum(dp[i] / (i + j + 1) for i in range(n1 - 1))
+           for j in range(n1)] for dp in dphi]
+    cross = [[mp.fsum(x * y for x, y in zip(d, phi[q])) for q in range(n1)]
+             for d in dh]
+    psi_tilde = [mp.fsum(row) for row in phi]
+    kappa = [[psi_tilde[p] * psi_tilde[q] - cross[p][q] for q in range(n1)]
+             for p in range(n1)]
+    w = [mp.fsum(c / (k + 1) for k, c in enumerate(row)) for row in phi]
+    return kappa, w
+
+
+@pytest.mark.parametrize("family", ["gauss-legendre", "radau-left",
+                                    "radau-right"])
+@pytest.mark.parametrize("n", [0, 1, 4, 12, 24])
+def test_kappa_matches_monomial_reference(n, family):
+    ctx = make_context(120)
+    tab = _tab(n, family, ctx)
+    with mp.workdps(tab.basis.work_dps):
+        kappa, w = _monomial_kappa(tab.basis.tau)
+        assert max(abs(x - y) for row, ref in zip(tab.kappa, kappa)
+                   for x, y in zip(row, ref)) <= ctx.identity_tol
+        assert max(abs(x - y) for x, y in zip(tab.basis.w, w)) \
+            <= ctx.identity_tol
+
+
 @pytest.mark.parametrize("family", ["gauss-legendre", "radau-left",
                                     "radau-right"])
 @pytest.mark.parametrize("n", [0, 1, 4, 9])
