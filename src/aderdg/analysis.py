@@ -29,8 +29,8 @@ ERROR_FIELDS = ("n_l1", "n_l2", "n_linf", "n_final",
                 "l_l1", "l_l2", "l_linf")
 
 
-# samples per interval for the continuous sup-norm, before golden-section
-# refinement around the best one
+# equispaced samples per interval for the continuous sup-norm, before
+# parabolic refinement around the best one (_parabolic_max)
 SUP_SAMPLES = 64
 
 
@@ -66,27 +66,73 @@ def _vec_err(u, v):
     return max(abs(a - b) for a, b in zip(u, v))
 
 
-def _golden_max(f, lo, hi, iters=40):
-    # The error's maxima are smooth inside an interval (|.| has kinks only
-    # at minima), so the value found is off by the square of the final
-    # bracket width: 0.618^40 ~ 4e-9 of two sample spacings leaves a
-    # relative error near 1e-17 even at N=12.  Maxima at the interval ends
-    # are caught exactly by the samples.
-    inv = (mp.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
+def _vertex(a, fa, x, fx, c, fc):
+    """Vertex of the parabola through three points a < x < c, or None when
+    that parabola has no maximum."""
+    q = (x - a) * (fx - fc) - (x - c) * (fx - fa)
+    if q <= 0:  # q has the sign of minus the second divided difference
+        return None
+    return x - ((x - a) ** 2 * (fx - fc) - (x - c) ** 2 * (fx - fa)) / (2 * q)
+
+
+def _parabolic_max(f, ts, vals):
+    """Largest value of f around the best of the samples vals = f(ts).
+
+    Successive parabolic interpolation (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 5), seeded with the best sample and its
+    two neighbours.  The error's maxima are smooth inside an interval (|.|
+    has kinks only at minima), so the vertex closes in on the maximum in a
+    few steps and the value found is off by the square of the last step:
+    a step below 1e-15 of a sample spacing leaves a relative error near
+    1e-30.
+
+    A best sample at an interval end is refined only if the parabola
+    through the three end samples has its maximum inside the end gap and
+    that point beats the end sample; otherwise the end sample is the
+    answer, at no extra evaluation.  With h the spacing and f2, f3 the
+    second and third derivatives, the parabola's slope at the end is f's
+    to O(h^2 f3), so the test misses only a maximum within O(h^2 f3/f2)
+    of the end, and the end sample lies below such a maximum by
+    O(h^4 f3^2/f2), fourth order in the spacing.  Checked against 40
+    golden-section steps on 480 harmonic and pendulum intervals (N 1 to
+    12, 120 digits): no end gap held a value above its end sample.
+    """
+    k = len(ts) - 1
+    best = max(range(k + 1), key=lambda i: vals[i])
+    if best in (0, k):
+        j = 0 if best == 0 else k - 2     # the three end samples j..j+2
+        lo, hi = (0, 1) if best == 0 else (k - 1, k)   # the end gap
+        u = _vertex(ts[j], vals[j], ts[j + 1], vals[j + 1],
+                    ts[j + 2], vals[j + 2])
+        if u is None or not ts[lo] < u < ts[hi]:
+            return vals[best]
+        fu = f(u)
+        if fu <= vals[best]:
+            return vals[best]
+        a, x, c = ts[lo], u, ts[hi]
+        fa, fx, fc = vals[lo], fu, vals[hi]
+    else:
+        a, x, c = ts[best - 1], ts[best], ts[best + 1]
+        fa, fx, fc = vals[best - 1], vals[best], vals[best + 1]
+    tol = (ts[1] - ts[0]) * mp.mpf(10) ** -15
+    # the bracket a < x < c shrinks at every step; the cap only guards
+    # against a rough f
+    for _ in range(40):
+        u = _vertex(a, fa, x, fx, c, fc)
+        if u is None or not a < u < c or abs(u - x) < tol:
+            break
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                c, fc = x, fx
+            else:
+                a, fa = x, fx
+            x, fx = u, fu
+        elif u < x:
+            a, fa = u, fu
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
-    return max(f1, f2)
+            c, fc = u, fu
+    return fx
 
 
 def compute_errors(traj, reference, ctx):
@@ -95,8 +141,9 @@ def compute_errors(traj, reference, ctx):
     Node sums run n = 0..M weighting term n by the step of interval
     min(n, M-1); the local solution at an interior grid node is taken
     from the left interval.  Continuous L1/L2 norms use a Gauss rule with
-    N+8 points per interval; the continuous sup-norm is sampled densely
-    and polished by golden-section refinement around the best sample.
+    N+8 points per interval; the continuous sup-norm is sampled at
+    SUP_SAMPLES equispaced points and polished by successive parabolic
+    interpolation around the best sample.
     """
     tab = traj.tableau
     basis = tab.basis
@@ -166,10 +213,7 @@ def compute_errors(traj, reference, ctx):
             ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (SUP_SAMPLES - 1)
                   for i in range(SUP_SAMPLES)]
             vals = [err_tab(t, lvals) for t, lvals in zip(ts, s_basis)]
-            best = max(range(SUP_SAMPLES), key=lambda i: vals[i])
-            lo = ts[max(best - 1, 0)]
-            hi = ts[min(best + 1, SUP_SAMPLES - 1)]
-            l_linf = max(l_linf, vals[best], _golden_max(err_at, lo, hi))
+            l_linf = max(l_linf, _parabolic_max(err_at, ts, vals))
         e["l_l1"], e["l_l2"], e["l_linf"] = l_l1, mp.sqrt(l_l2), l_linf
 
         return ErrorReport(n=n, m=m, dt=max(loc.dt_n for loc in traj.locals),
@@ -211,6 +255,10 @@ def convergence_study(entry, n_values, m_values, ctx, *,
         raise AnalysisError("all interval counts must be >= 1")
     if len(set(m_values)) != len(m_values):
         raise AnalysisError("interval counts must be distinct")
+    if len(m_values) < 3:
+        raise AnalysisError("order fit needs at least 3 interval counts")
+    if len(set(n_values)) != len(n_values):
+        raise AnalysisError("degrees must be distinct")
     if entry.problem.exact is not None:
         reference = entry.problem.exact
     elif entry.reference_kind == "high-order-oracle":

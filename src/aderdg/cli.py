@@ -322,6 +322,10 @@ def cmd_converge(args, cfg):
         raise UsageError("interval counts must be >= 1")
     if len(set(m_values)) != len(m_values):
         raise UsageError("interval counts must be distinct")
+    if len(m_values) < 3:
+        raise UsageError("order fit needs at least 3 interval counts")
+    if len(set(n_values)) != len(n_values):
+        raise UsageError("degrees must be distinct")
     entry = catalog_lookup(args.problem)
     table = convergence_study(entry, n_values, m_values, ctx)
     if args.format == "json":

@@ -27,7 +27,6 @@ class ProblemCatalogEntry:
     name: str
     problem: OdeProblem
     reference_kind: str          # exact-closed-form | high-order-oracle
-    note: str = ""
     invariant: Optional[Callable] = None   # conserved quantity (u, t) -> real
 
 
@@ -45,8 +44,7 @@ def harmonic_oscillator():
             exact=exact,
             t0=mp.mpf(0), tf=4 * mp.pi, u0=(mp.mpf(1), mp.mpf(0)))
     return ProblemCatalogEntry(
-        name="harmonic", problem=problem, reference_kind="exact-closed-form",
-        note="x'' + x = 0, x(0)=1, x'(0)=0 on [0, 4*pi]")
+        name="harmonic", problem=problem, reference_kind="exact-closed-form")
 
 
 def pendulum():
@@ -59,7 +57,6 @@ def pendulum():
             t0=mp.mpf(0), tf=mp.mpf(10), u0=(mp.pi / 2, mp.mpf(0)))
     return ProblemCatalogEntry(
         name="pendulum", problem=problem, reference_kind="high-order-oracle",
-        note="phi'' + sin(phi) = 0, phi(0)=pi/2, phi'(0)=0 on [0, 10]",
         invariant=lambda u, t: u[1] ** 2 / 2 - mp.cos(u[0]))
 
 
@@ -75,7 +72,7 @@ def dahlquist(lam):
         t0=mp.mpf(0), tf=mp.mpf(1), u0=(mp.mpf(1),))
     return ProblemCatalogEntry(
         name=f"dahlquist:{lam}", problem=problem,
-        reference_kind="exact-closed-form", note="linear stability probe")
+        reference_kind="exact-closed-form")
 
 
 def polynomial_problem(coeffs, u0=mp.mpf(0), t0=mp.mpf(0), tf=mp.mpf(1)):
@@ -114,8 +111,7 @@ def polynomial_rhs(degree, seed):
     problem = polynomial_problem(coeffs, u0=mp.mpf(1))
     return ProblemCatalogEntry(
         name=f"poly:{degree}:{seed}", problem=problem,
-        reference_kind="exact-closed-form",
-        note=f"u' = f(t), deg f = {degree}, seed {seed}")
+        reference_kind="exact-closed-form")
 
 
 def catalog_lookup(spec):

@@ -2,13 +2,14 @@ import mpmath as mp
 import pytest
 
 from aderdg import analysis
-from aderdg.analysis import (AnalysisError, ZeroErrorFloor, compute_errors,
-                             convergence_study, fit_order, format_order_table,
-                             format_raw_errors, interface_identity_residual,
-                             ERROR_FIELDS, ORDER_COLUMNS)
+from aderdg.analysis import (AnalysisError, ZeroErrorFloor, _parabolic_max,
+                             compute_errors, convergence_study, fit_order,
+                             format_order_table, format_raw_errors,
+                             interface_identity_residual, ERROR_FIELDS,
+                             ORDER_COLUMNS, SUP_SAMPLES)
 from aderdg.arith import make_context
 from aderdg.problems import harmonic_oscillator, polynomial_rhs
-from aderdg.solver import SolverConfig, integrate
+from aderdg.solver import SolverConfig, eval_local, integrate
 from aderdg.tableau import build_tableau
 
 CTX = make_context(60)
@@ -137,6 +138,139 @@ def test_study_rejects_repeated_m_before_any_cell(monkeypatch):
     monkeypatch.setattr(analysis, "integrate", no_cell)
     with pytest.raises(AnalysisError, match="distinct"):
         convergence_study(harmonic_oscillator(), [2], [4, 8, 4], CTX)
+
+
+@pytest.mark.parametrize("n_values, m_values, match", [
+    ([2], [4, 6], "at least 3"),
+    ([2, 2], [4, 6, 8], "degrees must be distinct"),
+])
+def test_study_rejects_short_m_or_repeated_n_before_any_cell(
+        monkeypatch, n_values, m_values, match):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the lists were checked")
+
+    monkeypatch.setattr(analysis, "integrate", no_cell)
+    with pytest.raises(AnalysisError, match=match):
+        convergence_study(harmonic_oscillator(), n_values, m_values, CTX)
+
+
+def _counted(f):
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return f(t)
+    return g, calls
+
+
+def _refine(fn):
+    """_parabolic_max of fn from its SUP_SAMPLES samples on [0, 1], and the
+    points at which the refinement evaluated fn."""
+    ts = [mp.mpf(i) / (SUP_SAMPLES - 1) for i in range(SUP_SAMPLES)]
+    vals = [fn(t) for t in ts]
+    f, calls = _counted(fn)
+    return _parabolic_max(f, ts, vals), vals, calls
+
+
+def test_parabolic_max_interior():
+    # t exp(-c t) peaks at t = 1/c, between samples 20 and 21, with value
+    # 1/(c e); the peak is lopsided, so one parabola does not find it
+    with CTX.workdps():
+        c = mp.mpf(31) / 10
+        value, vals, calls = _refine(lambda t: t * mp.exp(-c * t))
+        assert abs(value * c * mp.e - 1) < mp.mpf(10) ** -28
+        assert max(vals) * c * mp.e < 1 - mp.mpf(10) ** -5  # samples miss it
+        assert 0 < len(calls) <= 42 // 2  # half of golden section's 42
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_parabolic_max_end_gap(end):
+    # the end sample is the largest, but the maximum lies inside the end
+    # gap (t0, t1) or (t62, t63)
+    with CTX.workdps():
+        inset = mp.mpf(2) / 5 / (SUP_SAMPLES - 1)
+        peak = abs(end - inset)
+        value, vals, calls = _refine(lambda t: mp.cos(5 * (t - peak)))
+        assert max(range(SUP_SAMPLES), key=lambda i: vals[i]) in (
+            0, SUP_SAMPLES - 1)
+        assert abs(value - 1) < mp.mpf(10) ** -28
+        assert 0 < len(calls) <= 42 // 2  # half of golden section's 42
+
+
+@pytest.mark.parametrize("fn", [
+    lambda t: mp.exp(-t),                       # convex: no parabolic maximum
+    lambda t: mp.cos(t + mp.mpf(1) / 10),       # vertex outside the end gap
+    lambda t: mp.cos(3 * (1 - t) + mp.mpf(1) / 10),  # same, at the right end
+])
+def test_parabolic_max_monotone_from_end(fn):
+    with CTX.workdps():
+        value, vals, calls = _refine(fn)
+        assert value == max(vals)
+        assert calls == []
+
+
+def _golden_max(f, lo, hi, iters=40):
+    # the golden-section search that the parabolic refinement replaced,
+    # kept as an independent reference for the sup-norm
+    inv = (mp.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    x1, x2 = b - inv * (b - a), a + inv * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = f(x1)
+    return max(f1, f2)
+
+
+def _golden_linf(traj, reference):
+    basis = traj.tableau.basis
+    out = mp.mpf(0)
+    for loc in traj.locals:
+        def err(t):
+            return max(abs(a - b) for a, b in zip(eval_local(loc, basis, t),
+                                                  reference(t)))
+        ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (SUP_SAMPLES - 1)
+              for i in range(SUP_SAMPLES)]
+        vals = [err(t) for t in ts]
+        best = max(range(SUP_SAMPLES), key=lambda i: vals[i])
+        lo, hi = ts[max(best - 1, 0)], ts[min(best + 1, SUP_SAMPLES - 1)]
+        out = max(out, vals[best], _golden_max(err, lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("family", ["gauss-legendre", "radau-right"])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_l_linf_matches_golden_section(n, family):
+    ctx = make_context(120)
+    entry = harmonic_oscillator()
+    tab = build_tableau(n, family, ctx)
+    # at N=1 some maxima are interior; at N=3 and 8 all sit at interval
+    # ends, where golden section still searches the end gap
+    traj = integrate(tab, entry.problem, 5, SolverConfig(), ctx)
+    rep = compute_errors(traj, entry.problem.exact, ctx)
+    with ctx.workdps(10):
+        golden = _golden_linf(traj, entry.problem.exact)
+        assert abs(rep["l_linf"] / golden - 1) < mp.mpf(10) ** -18
+
+
+def test_reference_calls_per_interval():
+    # harmonic N=2, M=4 at 60 digits makes 338 reference calls: per
+    # interval 64 samples, N+8 = 10 Gauss points and N+1 = 3 stages, plus
+    # the M+1 = 5 grid nodes and 25 refinement steps in all.  The bound is
+    # 364; a fixed-length search breaks it (golden section made 481).
+    entry = harmonic_oscillator()
+    n, m = 2, 4
+    tab = build_tableau(n, "gauss-legendre", CTX)
+    traj = integrate(tab, entry.problem, m, SolverConfig(), CTX)
+    reference, calls = _counted(entry.problem.exact)
+    compute_errors(traj, reference, CTX)
+    assert len(calls) <= m * (SUP_SAMPLES + (n + 8) + (n + 1) + 2 + 12)
 
 
 def test_zero_error_floor_on_exact_polynomial():

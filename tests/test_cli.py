@@ -140,6 +140,11 @@ def test_converge_bad_lists():
                "--digits", "60") == 1
     assert run("converge", "harmonic", "--n", "2", "--m", "4,4,8",
                "--digits", "60") == 1
+    # so are fewer than 3 interval counts (no order fits) and repeated degrees
+    assert run("converge", "harmonic", "--n", "2", "--m", "4,6",
+               "--digits", "60") == 1
+    assert run("converge", "harmonic", "--n", "2,2", "--m", "4,6,8",
+               "--digits", "60") == 1
     assert run("converge", "harmonic", "--n", "2", "--m", "4,6,8",
                "--digits", "60", "--jobs", "2") == 1
 
