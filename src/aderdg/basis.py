@@ -240,33 +240,27 @@ def eval_basis(basis, tau):
         return _lagrange_values(basis.tau, basis.lam, mp.mpf(tau))
 
 
-def nodal_basis(n, family, tau, w, ctx):
-    """NodalBasis on the nodes tau with weights w; lam and the boundary
-    traces psi_p = l_p(0), psi~_p = l_p(1) follow from the nodes."""
-    lam = barycentric_weights(tau, ctx)
-    dps = work_digits(ctx, n)
-    with mp.workdps(dps):
-        psi, psi_tilde = (_lagrange_values(tau, lam, mp.mpf(t)) for t in (0, 1))
-    return NodalBasis(n=n, family=family, tau=tau, w=w, lam=lam,
-                      psi=psi, psi_tilde=psi_tilde, work_dps=dps)
-
-
 def make_basis(n, family, ctx):
-    """Build and validate the full nodal basis for degree n."""
+    """Build and validate the full nodal basis for degree n; lam and the
+    boundary traces psi_p = l_p(0), psi~_p = l_p(1) follow from the nodes."""
     require_conditioning(n, ctx)
     # the Gauss rule is cached, and compute_weights needs it for every family
     tau = (gauss_rule(n, ctx)[0] if family == "gauss-legendre"
            else compute_nodes(n, family, ctx))
-    b = nodal_basis(n, family, tau, compute_weights(tau, ctx), ctx)
+    w = compute_weights(tau, ctx)
+    lam = barycentric_weights(tau, ctx)
+    dps = work_digits(ctx, n)
     tol = ctx.identity_tol
-    with mp.workdps(b.work_dps):
-        if any(wp <= 0 for wp in b.w):
+    with mp.workdps(dps):
+        psi, psi_tilde = (_lagrange_values(tau, lam, mp.mpf(t)) for t in (0, 1))
+        if any(wp <= 0 for wp in w):
             raise BasisError("nonpositive quadrature weight")
-        if abs(mp.fsum(b.psi) - 1) > tol or abs(mp.fsum(b.psi_tilde) - 1) > tol:
+        if abs(mp.fsum(psi) - 1) > tol or abs(mp.fsum(psi_tilde) - 1) > tol:
             raise BasisError("boundary traces do not form a partition of unity")
         if family == "gauss-legendre":
             for p in range(n + 1):
                 if (abs(tau[p] + tau[n - p] - 1) > tol
-                        or abs(b.w[p] - b.w[n - p]) > tol):
+                        or abs(w[p] - w[n - p]) > tol):
                     raise BasisError("gauss-legendre node/weight symmetry violated")
-    return b
+    return NodalBasis(n=n, family=family, tau=tau, w=w, lam=lam,
+                      psi=psi, psi_tilde=psi_tilde, work_dps=dps)

@@ -115,9 +115,11 @@ def build_parser(cfg):
 
     p = sub.add_parser("tableau", help="build or re-check a tableau")
     p.add_argument("n", type=int, nargs="?", help="polynomial degree N")
-    p.add_argument("--family", choices=FAMILIES, default="gauss-legendre")
+    p.add_argument("--family", choices=FAMILIES,
+                   help="node family (default gauss-legendre)")
     p.add_argument("--check", metavar="FILE",
-                   help="import FILE and re-verify it instead of building")
+                   help="import FILE, rebuild it at --digits and compare "
+                        "every stored array, instead of building")
     common(p)
 
     p = sub.add_parser("verify",
@@ -177,7 +179,9 @@ def _require_degree(n, cfg, what="degree"):
 def cmd_tableau(args, cfg):
     ctx = make_context(args.digits)
     if args.check:
-        with open(args.check) as fh:
+        if args.n is not None or args.family is not None:
+            raise UsageError("--check takes its degree and family from FILE")
+        with open(args.check, "rb") as fh:
             doc = fh.read()
         try:
             tab = import_tableau(doc, ctx)
@@ -188,7 +192,7 @@ def cmd_tableau(args, cfg):
               f"{tab.digits} stored digits")
         return EXIT_OK
     _require_degree(args.n, cfg)
-    tab = build_tableau(args.n, args.family, ctx)
+    tab = build_tableau(args.n, args.family or "gauss-legendre", ctx)
     if args.format == "json":
         _emit(export_tableau(tab), args.out)
         return EXIT_OK

@@ -63,19 +63,6 @@ def solve_matrix(a, bmat):
     return [[cols[j][i] for j in range(ncols)] for i in range(n)]
 
 
-def mat_vec(a, x):
-    return [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def max_row_sum(a):
     """Infinity norm (max absolute row sum)."""
     return max(sum(abs(x) for x in row) for row in a)

@@ -9,14 +9,13 @@ is checked numerically here.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
 from . import linalg
-from .arith import format_decimal, parse_decimal
-from .basis import (FAMILIES, NodalBasis, compute_nodes, make_basis,
-                    nodal_basis)
+from .arith import MIN_DIGITS, format_decimal, parse_decimal
+from .basis import FAMILIES, NodalBasis, make_basis
 
 SCHEMA_VERSION = 1
 
@@ -160,20 +159,23 @@ def check_simplifying(tab, which, order, ctx):
 def build_q_m(tab, ctx):
     """Nonlinear-stability matrices Q and M with their dyadic certificates.
 
-    Q = mu alpha + alpha^T mu - alpha^T w w^T alpha with alpha = mu^{-1} kappa;
-    Q must equal psi psi^T and M = a^T Q a must equal the dyadic square of
-    a^T psi, both to identity_tol.
+    Q = mu alpha + alpha^T mu - alpha^T w w^T alpha with alpha = mu^{-1} kappa.
+    M = BA + A^T B - w w^T with B = diag(w) is the algebraic-stability
+    matrix (Burrage & Butcher, SIAM J. Numer. Anal. 16, 1979); it equals
+    a^T Q a because a = kappa^{-1} mu.  Q must equal psi psi^T and M the
+    dyadic square of u = a^T psi, both to identity_tol.
     """
     b = tab.basis
     n1 = tab.stages
+    a = tab.a
     with mp.workdps(b.work_dps + 20):
         alpha = [[tab.kappa[p][q] / b.w[p] for q in range(n1)] for p in range(n1)]
         v = [mp.fsum(alpha[p][q] * b.w[p] for p in range(n1)) for q in range(n1)]
         q_mat = [[b.w[p] * alpha[p][q] + b.w[q] * alpha[q][p] - v[p] * v[q]
                   for q in range(n1)] for p in range(n1)]
-        at = linalg.transpose([list(r) for r in tab.a])
-        m_mat = linalg.mat_mul(linalg.mat_mul(at, q_mat), [list(r) for r in tab.a])
-        u = linalg.mat_vec(at, list(b.psi))
+        m_mat = [[b.w[p] * a[p][q] + b.w[q] * a[q][p] - b.w[p] * b.w[q]
+                  for q in range(n1)] for p in range(n1)]
+        u = [mp.fsum(a[p][q] * b.psi[p] for p in range(n1)) for q in range(n1)]
         q_res = max(abs(q_mat[p][q] - b.psi[p] * b.psi[q])
                     for p in range(n1) for q in range(n1))
         m_res = max(abs(m_mat[p][q] - u[p] * u[q])
@@ -265,53 +267,54 @@ def export_tableau(tab):
 
 
 def import_tableau(document, ctx):
-    """Parse an exported tableau and re-verify it; rejects corrupt files."""
+    """Parse an exported tableau, rebuild it at ctx's digits and compare
+    every stored array; rejects corrupt files.
+
+    document is the JSON text, as str or as UTF-8 bytes.  Each stored array
+    (tau, w, psi, psi_tilde, kappa, a) must match build_tableau's to
+    max(identity_tol, 10^(10 - digits)), and the stored digits may not be
+    below MIN_DIGITS, so a file cannot loosen its own tolerance.  Returns
+    the rebuilt tableau labelled with the stored digits.
+    """
     try:
-        doc = json.loads(document) if isinstance(document, str) else dict(document)
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
+        doc = json.loads(document)
         n = int(doc["n"])
         family = doc["family"]
         digits = int(doc["digits"])
         if doc["schema_version"] != SCHEMA_VERSION:
             raise TableauError(f"unsupported schema_version {doc['schema_version']}")
-        tau = tuple(parse_decimal(s, ctx) for s in doc["tau"])
-        w = tuple(parse_decimal(s, ctx) for s in doc["w"])
-        psi = tuple(parse_decimal(s, ctx) for s in doc["psi"])
-        psi_tilde = tuple(parse_decimal(s, ctx) for s in doc["psi_tilde"])
-        kappa = tuple(tuple(parse_decimal(s, ctx) for s in row)
-                      for row in doc["kappa"])
-        a = tuple(tuple(parse_decimal(s, ctx) for s in row) for row in doc["a"])
+        stored = {key: tuple(parse_decimal(s, ctx) for s in doc[key])
+                  for key in ("tau", "w", "psi", "psi_tilde")}
+        for key in ("kappa", "a"):
+            stored[key] = tuple(tuple(parse_decimal(s, ctx) for s in row)
+                                for row in doc[key])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, TableauError):
             raise
         raise TableauError(f"malformed tableau document: {exc}") from exc
     if family not in FAMILIES:
         raise ImportVerificationError(f"unknown node family: {family!r}")
+    if digits < MIN_DIGITS:
+        raise ImportVerificationError(
+            f"stored digits {digits} below the minimum {MIN_DIGITS}")
     n1 = n + 1
-    if n < 0 or any(len(v) != n1 for v in (tau, w, psi, psi_tilde)) or \
-       any(len(m) != n1 or any(len(row) != n1 for row in m) for m in (kappa, a)):
+    if n < 0 or any(len(v) != n1 for v in stored.values()) or \
+       any(len(row) != n1 for key in ("kappa", "a") for row in stored[key]):
         raise ImportVerificationError(f"stored arrays do not fit degree N={n}")
+    tab = build_tableau(n, family, ctx)
+    b = tab.basis
+    rebuilt = {"tau": b.tau, "w": b.w, "psi": b.psi, "psi_tilde": b.psi_tilde,
+               "kappa": tab.kappa, "a": tab.a}
     tol = max(ctx.identity_tol, mp.mpf(10) ** (-digits + 10))
-
-    def require(dev, what):
+    for key, ref in rebuilt.items():
+        got = stored[key]
+        if key in ("kappa", "a"):
+            got, ref = sum(got, ()), sum(ref, ())
+        dev = max(abs(x - y) for x, y in zip(got, ref))
         if dev > tol:
-            raise ImportVerificationError(f"{what}, deviation {mp.nstr(dev, 5)}")
-
-    require(max(abs(x - y) for x, y in zip(tau, compute_nodes(n, family, ctx))),
-            f"stored nodes are not the {family} nodes")
-    # lam and the boundary traces are a pure function of the nodes
-    basis = nodal_basis(n, family, tau, w, ctx)
-    require(max(abs(x - y) for x, y in zip(psi + psi_tilde,
-                                           basis.psi + basis.psi_tilde)),
-            "stored boundary traces disagree with nodes")
-    tab = AderDgTableau(n=n, basis=basis, kappa=kappa, a=a,
-                        stages=n1, digits=digits)
-    require(check_simplifying(tab, "B", 2 * n + 1, ctx),
-            f"stored weights fail quadrature order B({2 * n + 1})")
-    with mp.workdps(basis.work_dps):
-        ka = linalg.mat_mul([list(r) for r in kappa], [list(r) for r in a])
-        require(max(abs(ka[p][q] - (w[p] if p == q else 0))
-                    for p in range(n1) for q in range(n1)),
-                "stored stage matrix fails kappa a = diag(w)")
-    require(max(verify_lemma21(tab, ctx)),
-            "imported tableau fails identity check")
-    return tab
+            raise ImportVerificationError(
+                f"stored {key} differs from the rebuilt {family} tableau, "
+                f"deviation {mp.nstr(dev, 5)}")
+    return replace(tab, digits=digits)

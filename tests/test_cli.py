@@ -93,7 +93,62 @@ def test_tableau_check_rejects_tampered_stage_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run("tableau", "--check", str(bad), "--digits", "60") == 2
-    assert "kappa a" in capsys.readouterr().err
+    assert "stored a differs" in capsys.readouterr().err
+
+
+def test_tableau_check_rejects_trace_free_kappa_perturbation(
+        tmp_path, capsys, trace_free_tampered):
+    bad = tmp_path / "bad.json"
+    bad.write_text(trace_free_tampered(8, 120))
+    assert run("tableau", "--check", str(bad), "--digits", "120") == 2
+    assert "stored kappa differs" in capsys.readouterr().err
+
+
+def test_tableau_check_rejects_low_stored_digits(tmp_path, capsys):
+    ctx = make_context(60)
+    doc = json.loads(export_tableau(build_tableau(3, "gauss-legendre", ctx)))
+    doc["digits"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("tableau", "--check", str(bad), "--digits", "60") == 2
+    assert "stored digits 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["gauss-legendre", "radau-left",
+                                    "radau-right"])
+def test_tableau_check_accepts_exports_at_other_digits(family, tmp_path,
+                                                       capsys):
+    # the comparison tolerance follows the coarser of the stored and the
+    # checking precision
+    for stored_digits in ("500", "60"):
+        for n in ("0", "1", "8"):
+            path = str(tmp_path / f"t{n}-{stored_digits}.json")
+            assert run("tableau", n, "--family", family, "--digits",
+                       stored_digits, "--format", "json", "--out", path) == 0
+            assert run("tableau", "--check", path, "--digits", "120") == 0
+            assert capsys.readouterr().out == (
+                f"ok: degree {n} {family} tableau, "
+                f"{stored_digits} stored digits\n")
+
+
+def test_tableau_check_non_utf8_is_malformed(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": "\xff\xfe"}')
+    assert run("tableau", "--check", str(bad), "--digits", "60") == 2
+    err = capsys.readouterr().err
+    assert "malformed tableau document" in err and err.count("\n") == 1
+
+
+def test_tableau_check_refuses_degree_family_and_low_digits(tmp_path,
+                                                            capsys):
+    path = str(tmp_path / "t.json")
+    assert run("tableau", "12", "--digits", "60", "--format", "json",
+               "--out", path) == 0
+    assert run("tableau", "4", "--check", path, "--digits", "60") == 1
+    assert run("tableau", "--family", "radau-right", "--check", path,
+               "--digits", "60") == 1
+    assert run("tableau", "--check", path, "--digits", "30") == 1
+    assert run("tableau", "--check", path, "--digits", "60") == 0
 
 
 def test_tableau_insufficient_digits_is_usage():

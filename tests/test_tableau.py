@@ -225,7 +225,7 @@ def test_import_rejects_tampered_stage_matrix():
         assert max(abs(mp.fsum(back_a[p][q] * tab.basis.psi_tilde[p]
                                for p in range(4)) - tab.basis.w[q])
                    for q in range(4)) < CTX.identity_tol
-    with pytest.raises(ImportVerificationError, match="kappa a"):
+    with pytest.raises(ImportVerificationError, match="stored a differs"):
         import_tableau(json.dumps(doc), CTX)
 
 
@@ -233,13 +233,39 @@ def test_import_rejects_tampered_nodes():
     doc = json.loads(export_tableau(_tab(3)))
     with CTX.workdps():
         doc["tau"][1] = mp.nstr(mp.mpf(doc["tau"][1]) + mp.mpf(10) ** -40, 62)
-    with pytest.raises(ImportVerificationError, match="nodes"):
+    with pytest.raises(ImportVerificationError, match="stored tau"):
         import_tableau(json.dumps(doc), CTX)
     # a self-consistent Gauss tableau stored under another family's name
     doc = json.loads(export_tableau(_tab(3)))
     doc["family"] = "radau-right"
-    with pytest.raises(ImportVerificationError, match="radau-right nodes"):
+    with pytest.raises(ImportVerificationError,
+                       match="rebuilt radau-right tableau"):
         import_tableau(json.dumps(doc), CTX)
+
+
+def test_import_rejects_trace_free_kappa_perturbation(trace_free_tampered):
+    # every identity the stored arrays satisfy among themselves still holds;
+    # only the comparison with the rebuilt tableau sees the change
+    with pytest.raises(ImportVerificationError, match="stored kappa differs"):
+        import_tableau(trace_free_tampered(3, 60), CTX)
+
+
+@pytest.mark.parametrize("digits", [1, -5, 29])
+def test_import_rejects_low_stored_digits(digits):
+    # a file may not loosen its own tolerance 10^(10 - digits)
+    doc = json.loads(export_tableau(_tab(3)))
+    doc["digits"] = digits
+    with pytest.raises(ImportVerificationError, match="stored digits"):
+        import_tableau(json.dumps(doc), CTX)
+
+
+def test_import_returns_rebuilt_tableau_with_stored_digits():
+    stored = export_tableau(_tab(4, "radau-left", make_context(90)))
+    back = import_tableau(stored, CTX)
+    assert back.digits == 90
+    rebuilt = _tab(4, "radau-left")
+    assert (back.basis, back.kappa, back.a) == (rebuilt.basis, rebuilt.kappa,
+                                                rebuilt.a)
 
 
 def test_import_rejects_unknown_family():
@@ -264,6 +290,17 @@ def test_import_rejects_malformed():
         import_tableau("{\"n\": 2}", CTX)
     with pytest.raises(TableauError):
         import_tableau("not json at all", CTX)
+
+
+def test_import_rejects_non_utf8_and_non_object_documents():
+    text = export_tableau(_tab(1))
+    assert import_tableau(text.encode(), CTX).n == 1
+    for raw in (text.encode().replace(b'"n"', b'"\xff"'),
+                text.encode("utf-16")):
+        with pytest.raises(TableauError, match="malformed"):
+            import_tableau(raw, CTX)
+    with pytest.raises(TableauError, match="malformed"):
+        import_tableau("[1, 2]", CTX)
 
 
 def test_import_rejects_wrong_schema():
