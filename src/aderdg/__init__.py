@@ -9,8 +9,8 @@ from .basis import FAMILIES, BasisError, NodalBasis, make_basis
 from .problems import (ProblemCatalogEntry, ProblemError, catalog_lookup,
                        dahlquist, harmonic_oscillator, pendulum,
                        polynomial_rhs)
-from .solver import (OdeProblem, SolverConfig, SolverError, StageSolveError,
-                     Trajectory, eval_local, integrate, trajectory_eval)
+from .solver import (OdeProblem, SolverError, StageSolveError, Trajectory,
+                     eval_local, integrate, trajectory_eval)
 from .tableau import (AderDgTableau, TableauError, build_q_m, build_tableau,
                       check_simplifying, export_tableau, import_tableau,
                       pade_exp, stability_function, verify_lemma21)

@@ -7,14 +7,12 @@ solution.  Orders come from a least-squares fit of lg e against lg dt.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath as mp
 
 from .basis import eval_basis, gauss_rule
 from .problems import build_oracle_reference
-from .solver import (SolverConfig, combine_basis, eval_local, integrate,
-                     trajectory_eval)
+from .solver import combine_basis, eval_local, integrate, trajectory_eval
 from .tableau import build_tableau
 
 # column layout of the order table, matching the reference presentation
@@ -59,7 +57,7 @@ class ConvergenceTable:
     m_values: tuple
     orders: dict        # N -> {column -> fitted order}, plus p_G / p_L refs
     reports: dict       # (N, M) -> ErrorReport
-    trajectories: Optional[dict] = None
+    trajectories: dict  # (N, M) -> Trajectory
 
 
 def _vec_err(u, v):
@@ -248,9 +246,9 @@ def fit_order(points, floor=None):
     return slope, rms
 
 
-def convergence_study(entry, n_values, m_values, ctx, *,
-                      keep_trajectories=False):
-    """Run the (N, M) sweep for a catalog entry and fit all 14 orders."""
+def convergence_study(entry, n_values, m_values, ctx):
+    """Run the (N, M) sweep for a catalog entry and fit all 14 orders; the
+    table keeps every cell's trajectory."""
     if any(m < 1 for m in m_values):
         raise AnalysisError("all interval counts must be >= 1")
     if len(set(m_values)) != len(m_values):
@@ -268,14 +266,13 @@ def convergence_study(entry, n_values, m_values, ctx, *,
         raise AnalysisError(f"problem {entry.name!r} has no reference")
 
     reports = {}
-    trajectories = {} if keep_trajectories else None
+    trajectories = {}
     for n in n_values:
         tab = build_tableau(n, "gauss-legendre", ctx)
         for m in m_values:
-            traj = integrate(tab, entry.problem, m, SolverConfig(), ctx)
+            traj = integrate(tab, entry.problem, m, ctx)
             reports[(n, m)] = compute_errors(traj, reference, ctx)
-            if keep_trajectories:
-                trajectories[(n, m)] = traj
+            trajectories[(n, m)] = traj
 
     orders = {}
     floor = 10 ** 6 * ctx.unit_roundoff

@@ -210,8 +210,9 @@ def gauss_rule(n, ctx):
     return tau, w
 
 
-def compute_weights(tau, ctx):
-    """Quadrature weights w_p = int l_p over [0, 1] for the nodes tau.
+def compute_weights(tau, lam, ctx):
+    """Quadrature weights w_p = int l_p over [0, 1] for the nodes tau and
+    their barycentric weights lam.
 
     l_p has degree N, so the (N+1)-point Gauss rule integrates it exactly;
     on the Gauss nodes the l_p values are Kronecker deltas and w is the
@@ -220,7 +221,6 @@ def compute_weights(tau, ctx):
     """
     n = len(tau) - 1
     g_tau, g_w = gauss_rule(n, ctx)
-    lam = barycentric_weights(tau, ctx)
     with mp.workdps(work_digits(ctx, n)):
         vals = [_lagrange_values(tau, lam, t) for t in g_tau]
         w = tuple(mp.fsum(g * v[p] for g, v in zip(g_w, vals))
@@ -247,8 +247,8 @@ def make_basis(n, family, ctx):
     # the Gauss rule is cached, and compute_weights needs it for every family
     tau = (gauss_rule(n, ctx)[0] if family == "gauss-legendre"
            else compute_nodes(n, family, ctx))
-    w = compute_weights(tau, ctx)
     lam = barycentric_weights(tau, ctx)
+    w = compute_weights(tau, lam, ctx)
     dps = work_digits(ctx, n)
     tol = ctx.identity_tol
     with mp.workdps(dps):

@@ -18,7 +18,7 @@ from .analysis import (AnalysisError, ZeroErrorFloor, convergence_study,
 from .arith import ArithError, make_context
 from .basis import FAMILIES, BasisError
 from .problems import ProblemError, catalog_lookup
-from .solver import SolverConfig, SolverError, eval_local, integrate
+from .solver import SolverError, eval_local, integrate
 from .tableau import (ImportVerificationError, TableauError, build_q_m,
                       build_tableau, check_simplifying, export_tableau,
                       import_tableau, pade_exp, stability_function,
@@ -136,8 +136,10 @@ def build_parser(cfg):
     p.add_argument("--family", choices=FAMILIES, default="gauss-legendre")
     p.add_argument("--dense", type=int, default=0, metavar="K",
                    help="also print K interior samples per interval")
-    p.add_argument("--jacobian", default="auto",
-                   choices=("auto", "analytic", "finite-difference", "picard"))
+    p.add_argument("--jacobian", default="auto", choices=("auto", "picard"),
+                   help="auto: Newton with the analytic Jacobian if the "
+                        "problem has one, else finite differences; picard: "
+                        "fixed-point iteration, no Jacobian")
     common(p)
 
     p = sub.add_parser("converge", help="run an (N, M) convergence sweep")
@@ -157,10 +159,6 @@ def build_parser(cfg):
     p.add_argument("--z", metavar="LIST",
                    help="comma separated points, e.g. --z=-1e8,-1,2+3i "
                         "(a list led by '-' needs the '=')")
-    p.add_argument("--axis", choices=("imaginary",),
-                   help="sample along an axis instead of explicit points")
-    p.add_argument("--count", type=int, default=9,
-                   help="sample count for --axis")
     common(p)
 
     return top
@@ -181,6 +179,8 @@ def cmd_tableau(args, cfg):
     if args.check:
         if args.n is not None or args.family is not None:
             raise UsageError("--check takes its degree and family from FILE")
+        if args.format != "table":
+            raise UsageError("--check prints one line; --format does not apply")
         with open(args.check, "rb") as fh:
             doc = fh.read()
         try:
@@ -188,8 +188,8 @@ def cmd_tableau(args, cfg):
         except ImportVerificationError as exc:
             print(f"verification failed: {exc}", file=sys.stderr)
             return EXIT_VERIFY
-        print(f"ok: degree {tab.n} {tab.family} tableau, "
-              f"{tab.digits} stored digits")
+        _emit(f"ok: degree {tab.n} {tab.family} tableau, "
+              f"{tab.digits} stored digits", args.out)
         return EXIT_OK
     _require_degree(args.n, cfg)
     tab = build_tableau(args.n, args.family or "gauss-legendre", ctx)
@@ -279,8 +279,8 @@ def cmd_solve(args, cfg):
         raise UsageError("--dense must be nonnegative")
     entry = catalog_lookup(args.problem)
     tab = build_tableau(args.n, args.family, ctx)
-    config = SolverConfig(jacobian_mode=args.jacobian)
-    traj = integrate(tab, entry.problem, args.m, config, ctx)
+    traj = integrate(tab, entry.problem, args.m, ctx,
+                     picard=args.jacobian == "picard")
 
     nd = ctx.decimal_digits
     rows = []
@@ -355,12 +355,7 @@ def cmd_stability(args, cfg):
     _require_degree(args.n, cfg)
     tab = build_tableau(args.n, "gauss-legendre", ctx)
     with ctx.workdps(10):
-        if args.axis == "imaginary":
-            if args.count < 1:
-                raise UsageError("--count must be >= 1")
-            zs = [mp.mpc(0, mp.mpf(10) ** (k - args.count // 2))
-                  for k in range(args.count)]
-        elif args.z:
+        if args.z:
             zs = [_parse_z(s, ctx) for s in args.z.split(",") if s.strip()]
             if not zs:
                 raise UsageError("empty --z list")

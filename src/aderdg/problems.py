@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 import mpmath as mp
 
-from .solver import OdeProblem, SolverConfig, integrate, trajectory_eval
+from .solver import OdeProblem, integrate, trajectory_eval
 
 
 class ProblemError(ValueError):
@@ -157,9 +157,8 @@ def build_oracle_reference(entry, n_max, m_max, ctx, *,
     n_ref = n_max + 8
     m_ref = 4 * m_max
     tab = build_tableau(n_ref, "gauss-legendre", octx)
-    config = SolverConfig()
-    coarse = integrate(tab, entry.problem, m_ref, config, octx)
-    fine = integrate(tab, entry.problem, 2 * m_ref, config, octx)
+    coarse = integrate(tab, entry.problem, m_ref, octx)
+    fine = integrate(tab, entry.problem, 2 * m_ref, octx)
     with octx.workdps():
         agree = max(abs(coarse.values[i][c] - fine.values[2 * i][c])
                     for i in range(m_ref + 1)

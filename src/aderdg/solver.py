@@ -16,6 +16,8 @@ import mpmath as mp
 from . import linalg
 from .basis import eval_basis
 
+MAX_ITER = 60     # stage iterations per step, Newton or Picard
+
 
 class SolverError(ValueError):
     pass
@@ -43,15 +45,6 @@ class OdeProblem:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    max_newton: int = 60
-    jacobian_mode: str = "auto"         # analytic | finite-difference | picard
-
-    def resolved_stage_tol(self, ctx):
-        return mp.mpf(10) ** (-ctx.decimal_digits + 20)
-
-
-@dataclass(frozen=True)
 class LocalSolution:
     t_n: mp.mpf
     dt_n: mp.mpf
@@ -67,6 +60,11 @@ class Trajectory:
     locals: tuple     # per-interval LocalSolution
 
 
+def stage_tol(ctx):
+    """Max-norm stage residual at which the stage iteration stops."""
+    return mp.mpf(10) ** (-ctx.decimal_digits + 20)
+
+
 def _fd_jacobian(problem, u, t, h):
     d = problem.dim
     cols = []
@@ -80,8 +78,9 @@ def _fd_jacobian(problem, u, t, h):
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
-def _stage_jacobian(problem, config, ctx, u, t):
-    if problem.jacobian is not None and config.jacobian_mode in ("auto", "analytic"):
+def _stage_jacobian(problem, ctx, u, t):
+    # analytic when the problem has one, central differences otherwise
+    if problem.jacobian is not None:
         return [list(r) for r in problem.jacobian(u, t)]
     h = mp.mpf(10) ** (-(ctx.decimal_digits // 3))
     return _fd_jacobian(problem, u, t, h)
@@ -103,17 +102,20 @@ def _newton_matrix(tab, jacs, dt):
     return mat
 
 
-def solve_stages(tab, problem, u_n, t_n, dt, config, ctx):
+def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False):
     """Stage derivatives k of one step, solved to the stage tolerance.
 
-    Newton works on the stacked residual k_p - F(state_p, t_p) with the
+    Newton works on the stacked residual r = k_p - F(state_p, t_p) with the
     Jacobian frozen at (u_n, t_n); it is refreshed at the current stage
     states every 5 iterations or when the residual contraction stalls.
+    Picard is the same iteration with the Jacobian taken as zero: the
+    Newton matrix is I, k - r = F(states(k)) and no matrix is factored
+    (Hairer & Wanner, Solving ODEs II, section IV.8).
     """
     if not dt > 0:
         raise SolverError("dt must be positive")
     s, d = tab.stages, problem.dim
-    tol = config.resolved_stage_tol(ctx)
+    tol = stage_tol(ctx)
     with ctx.workdps(10):
         t_p = [t_n + tab.basis.tau[p] * dt for p in range(s)]
 
@@ -121,47 +123,35 @@ def solve_stages(tab, problem, u_n, t_n, dt, config, ctx):
             return [[u_n[i] + dt * mp.fsum(tab.a[p][q] * k[q][i] for q in range(s))
                      for i in range(d)] for p in range(s)]
 
-        k = [list(problem.rhs(u_n, t_p[p])) for p in range(s)]
-        if config.jacobian_mode == "picard":
-            for _ in range(config.max_newton):
-                q = states(k)
-                k_new = [list(problem.rhs(q[p], t_p[p])) for p in range(s)]
-                res = max(abs(k_new[p][i] - k[p][i])
-                          for p in range(s) for i in range(d))
-                k = k_new
-                if res <= tol:
-                    return [tuple(row) for row in k]
-            raise StageSolveError(
-                f"picard iteration not converged in {config.max_newton} sweeps")
+        def factor(jacs):
+            try:
+                return linalg.lu_factor(_newton_matrix(tab, jacs, dt))
+            except linalg.SingularMatrixError as exc:
+                raise StageSolveError("singular Newton matrix") from exc
 
-        j0 = _stage_jacobian(problem, config, ctx, u_n, t_n)
-        try:
-            fact = linalg.lu_factor(_newton_matrix(tab, [j0] * s, dt))
-        except linalg.SingularMatrixError as exc:
-            raise StageSolveError("singular Newton matrix") from exc
+        k = [list(problem.rhs(u_n, t_p[p])) for p in range(s)]
+        fact = None if picard else factor(
+            [_stage_jacobian(problem, ctx, u_n, t_n)] * s)
         prev = None
-        for it in range(config.max_newton):
+        for it in range(MAX_ITER):
             q = states(k)
             f = [problem.rhs(q[p], t_p[p]) for p in range(s)]
             r = [k[p][i] - f[p][i] for p in range(s) for i in range(d)]
             rn = max(abs(x) for x in r)
             if rn <= tol:
                 return [tuple(row) for row in k]
-            if it > 0 and (rn > prev / 2 or it % 5 == 0):
-                jacs = [_stage_jacobian(problem, config, ctx, q[p], t_p[p])
-                        for p in range(s)]
-                try:
-                    fact = linalg.lu_factor(_newton_matrix(tab, jacs, dt))
-                except linalg.SingularMatrixError as exc:
-                    raise StageSolveError("singular Newton matrix") from exc
-            delta = linalg.lu_solve(fact, [-x for x in r])
+            if not picard and it > 0 and (rn > prev / 2 or it % 5 == 0):
+                fact = factor([_stage_jacobian(problem, ctx, q[p], t_p[p])
+                               for p in range(s)])
+            # k -= M^-1 r for the Newton matrix M, which is I for Picard
+            delta = r if picard else linalg.lu_solve(fact, r)
             for p in range(s):
                 for i in range(d):
-                    k[p][i] += delta[p * d + i]
+                    k[p][i] -= delta[p * d + i]
             prev = rn
         raise StageSolveError(
-            f"Newton not converged in {config.max_newton} iterations "
-            f"(residual {mp.nstr(rn, 5)})")
+            f"{'Picard' if picard else 'Newton'} not converged in {MAX_ITER} "
+            f"iterations (residual {mp.nstr(rn, 5)})")
 
 
 def stages_to_qhat(tab, u_n, k, dt):
@@ -175,9 +165,9 @@ def stages_to_qhat(tab, u_n, k, dt):
             for p in range(s))
 
 
-def step(tab, problem, u_n, t_n, dt, config, ctx):
+def step(tab, problem, u_n, t_n, dt, ctx, picard=False):
     """One integration step; returns the interval's LocalSolution."""
-    k = solve_stages(tab, problem, u_n, t_n, dt, config, ctx)
+    k = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard)
     with ctx.workdps(10):
         u_next = tuple(
             u_n[i] + dt * mp.fsum(tab.basis.w[p] * k[p][i]
@@ -225,8 +215,7 @@ def trajectory_eval(traj, t):
 
 def _picard_bound_check(tab, problem, ctx, dt):
     with ctx.workdps(10):
-        j = _stage_jacobian(problem, SolverConfig(), ctx, list(problem.u0),
-                            problem.t0)
+        j = _stage_jacobian(problem, ctx, list(problem.u0), problem.t0)
         c = linalg.max_row_sum(j)
     amax = linalg.max_row_sum([list(r) for r in tab.a])
     if not dt * c * amax < 1:
@@ -235,29 +224,22 @@ def _picard_bound_check(tab, problem, ctx, dt):
             f"{mp.nstr(dt * c * amax, 5)} >= 1")
 
 
-def integrate(tab, problem, grid, config, ctx):
-    """Integrate over [t0, tf]; grid is a step count or explicit node list."""
+def integrate(tab, problem, m, ctx, picard=False):
+    """Integrate over [t0, tf] on m equal intervals."""
+    if m < 1:
+        raise SolverError("step count must be >= 1")
     with ctx.workdps(10):
-        if isinstance(grid, int):
-            if grid < 1:
-                raise SolverError("step count must be >= 1")
-            h = (problem.tf - problem.t0) / grid
-            times = [problem.t0 + i * h for i in range(grid)] + [problem.tf]
-        else:
-            times = [mp.mpf(t) for t in grid]
-            if len(times) < 2 or any(a >= b for a, b in zip(times, times[1:])):
-                raise SolverError("node list must be strictly increasing")
-            if times[0] != mp.mpf(problem.t0) or times[-1] != mp.mpf(problem.tf):
-                raise SolverError("node list must span [t0, tf]")
-        dts = [times[i + 1] - times[i] for i in range(len(times) - 1)]
-        if config.jacobian_mode == "picard":
+        h = (problem.tf - problem.t0) / m
+        times = [problem.t0 + i * h for i in range(m)] + [problem.tf]
+        dts = [times[i + 1] - times[i] for i in range(m)]
+        if picard:
             _picard_bound_check(tab, problem, ctx, max(dts))
     u = tuple(problem.u0)
     values = [u]
     locals_ = []
-    for i in range(len(times) - 1):
+    for i in range(m):
         try:
-            loc = step(tab, problem, u, times[i], dts[i], config, ctx)
+            loc = step(tab, problem, u, times[i], dts[i], ctx, picard)
         except StageSolveError as exc:
             raise StageSolveError(f"interval {i}: {exc}", interval=i) from exc
         locals_.append(loc)

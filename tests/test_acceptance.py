@@ -15,7 +15,7 @@ from aderdg.analysis import (convergence_study, fit_order,
                              interface_identity_residual)
 from aderdg.arith import make_context
 from aderdg.problems import harmonic_oscillator, pendulum, polynomial_rhs
-from aderdg.solver import SolverConfig, eval_local, integrate
+from aderdg.solver import eval_local, integrate, stage_tol
 from aderdg.tableau import (build_q_m, build_tableau, check_simplifying,
                             pade_exp, stability_function, verify_lemma21)
 
@@ -45,8 +45,7 @@ def tabs120(ctx120):
 def harmonic_study():
     ctx = make_context(500)
     entry = harmonic_oscillator()
-    table = convergence_study(entry, [2, 3, 4, 8], M_SWEEP, ctx,
-                              keep_trajectories=True)
+    table = convergence_study(entry, [2, 3, 4, 8], M_SWEEP, ctx)
     return ctx, table
 
 
@@ -54,8 +53,7 @@ def harmonic_study():
 def pendulum_study():
     ctx = make_context(500)
     entry = pendulum()
-    table = convergence_study(entry, [2, 4], M_SWEEP, ctx,
-                              keep_trajectories=True)
+    table = convergence_study(entry, [2, 4], M_SWEEP, ctx)
     return ctx, table
 
 
@@ -68,7 +66,7 @@ def polynomial_runs():
         deg = s % n
         entry = polynomial_rhs(deg, s)
         tab = build_tableau(n, "gauss-legendre", ctx)
-        traj = integrate(tab, entry.problem, 3, SolverConfig(), ctx)
+        traj = integrate(tab, entry.problem, 3, ctx)
         runs.append((n, deg, entry, traj))
     return ctx, runs
 
@@ -144,10 +142,10 @@ def test_criterion_05_stiff_decay(ctx120, tabs120):
                     for n in range(1, 9))
         lam = -mp.mpf(10) ** 6
         entry = dahlquist(lam)
-        traj = integrate(tabs120[3], entry.problem, 1, SolverConfig(), ctx120)
+        traj = integrate(tabs120[3], entry.problem, 1, ctx120)
         r = stability_function(tabs120[3], lam, ctx120)
         step_dev = abs(traj.values[-1][0] - r)
-        tol = 10 * SolverConfig().resolved_stage_tol(ctx120)
+        tol = 10 * stage_tol(ctx120)
         ok = worst <= mp.mpf(10) ** -6 and step_dev <= tol
     _report(5, "damping at the stiff limit", ok,
             f"max |R(-1e8)| {mp.nstr(worst, 3)}, "
@@ -222,9 +220,8 @@ def test_criterion_07_nonlinear_convergence(pendulum_study):
 def test_criterion_08_polynomial_exactness(polynomial_runs):
     ctx, runs = polynomial_runs
     rng = random.Random(5150)
-    cfg = SolverConfig()
     with ctx.workdps():
-        stage_tol = cfg.resolved_stage_tol(ctx)
+        tol = stage_tol(ctx)
         worst_exact = mp.mpf(0)
         for n, deg, entry, traj in runs:
             for loc in traj.locals:
@@ -238,7 +235,7 @@ def test_criterion_08_polynomial_exactness(polynomial_runs):
         for n in range(2, 7):
             entry = polynomial_rhs(n, seed=100 + n)
             tab = build_tableau(n, "gauss-legendre", ctx)
-            traj = integrate(tab, entry.problem, 3, cfg, ctx)
+            traj = integrate(tab, entry.problem, 3, ctx)
             dev = mp.mpf(0)
             for loc in traj.locals:
                 for _ in range(64):
@@ -246,7 +243,7 @@ def test_criterion_08_polynomial_exactness(polynomial_runs):
                     u = eval_local(loc, traj.tableau.basis, t)
                     dev = max(dev, abs(u[0] - entry.problem.exact(t)[0]))
             worst_floor = min(worst_floor, dev)
-        ok = (worst_exact <= 100 * stage_tol
+        ok = (worst_exact <= 100 * tol
               and worst_floor >= 10 ** 6 * ctx.unit_roundoff)
     _report(8, "degree-limited exactness of the local solution", ok,
             f"exact max {mp.nstr(worst_exact, 3)}, "
@@ -255,17 +252,16 @@ def test_criterion_08_polynomial_exactness(polynomial_runs):
 
 def test_criterion_09_interval_seam_identity(harmonic_study, pendulum_study,
                                              polynomial_runs):
-    cfg = SolverConfig()
     worst_rel = mp.mpf(0)
     for ctx, table in (harmonic_study, pendulum_study):
         with ctx.workdps():
-            tol = 10 * cfg.resolved_stage_tol(ctx)
+            tol = 10 * stage_tol(ctx)
             for traj in table.trajectories.values():
                 worst_rel = max(worst_rel,
                                 interface_identity_residual(traj, ctx) / tol)
     ctx, runs = polynomial_runs
     with ctx.workdps():
-        tol = 10 * cfg.resolved_stage_tol(ctx)
+        tol = 10 * stage_tol(ctx)
         for _, _, _, traj in runs:
             worst_rel = max(worst_rel,
                             interface_identity_residual(traj, ctx) / tol)

@@ -9,7 +9,7 @@ from aderdg.analysis import (AnalysisError, ZeroErrorFloor, _parabolic_max,
                              ORDER_COLUMNS, SUP_SAMPLES)
 from aderdg.arith import make_context
 from aderdg.problems import harmonic_oscillator, polynomial_rhs
-from aderdg.solver import SolverConfig, eval_local, integrate
+from aderdg.solver import eval_local, integrate, stage_tol
 from aderdg.tableau import build_tableau
 
 CTX = make_context(60)
@@ -47,7 +47,7 @@ def test_error_report_field_count():
 def test_compute_errors_consistency():
     entry = harmonic_oscillator()
     tab = build_tableau(2, "gauss-legendre", CTX)
-    traj = integrate(tab, entry.problem, 6, SolverConfig(), CTX)
+    traj = integrate(tab, entry.problem, 6, CTX)
     rep = compute_errors(traj, entry.problem.exact, CTX)
     with CTX.workdps():
         # final node error is recomputed directly
@@ -56,7 +56,7 @@ def test_compute_errors_consistency():
         assert abs(rep["n_final"] - direct) < CTX.identity_tol
         # the final node belongs to the last interval, so the two
         # final-time errors agree to the stage tolerance
-        tol = 10 * SolverConfig().resolved_stage_tol(CTX)
+        tol = 10 * stage_tol(CTX)
         assert abs(rep["ln_final"] - rep["n_final"]) <= tol
         # norm orderings
         assert rep["n_linf"] >= rep["n_final"]
@@ -88,7 +88,7 @@ _PINNED = {
 def test_compute_errors_pinned(family):
     entry = harmonic_oscillator()
     tab = build_tableau(2, family, CTX)
-    traj = integrate(tab, entry.problem, 4, SolverConfig(), CTX)
+    traj = integrate(tab, entry.problem, 4, CTX)
     rep = compute_errors(traj, entry.problem.exact, CTX)
     assert set(_PINNED[family]) == set(ERROR_FIELDS)
     with CTX.workdps():
@@ -99,10 +99,10 @@ def test_compute_errors_pinned(family):
 def test_interface_residual_small():
     entry = harmonic_oscillator()
     tab = build_tableau(3, "gauss-legendre", CTX)
-    traj = integrate(tab, entry.problem, 5, SolverConfig(), CTX)
+    traj = integrate(tab, entry.problem, 5, CTX)
     res = interface_identity_residual(traj, CTX)
     with CTX.workdps():
-        assert res <= 10 * SolverConfig().resolved_stage_tol(CTX)
+        assert res <= 10 * stage_tol(CTX)
 
 
 def test_convergence_study_orders():
@@ -115,13 +115,12 @@ def test_convergence_study_orders():
     assert table.orders[2]["p_G"] == 5
     assert table.orders[2]["p_L"] == 3
     assert (2, 8) in table.reports
-    assert table.trajectories is None
+    assert set(table.trajectories) == set(table.reports)
 
 
 def test_convergence_study_keeps_trajectories():
     entry = harmonic_oscillator()
-    table = convergence_study(entry, [1], [4, 6, 8], CTX,
-                              keep_trajectories=True)
+    table = convergence_study(entry, [1], [4, 6, 8], CTX)
     assert set(table.trajectories) == {(1, 4), (1, 6), (1, 8)}
 
 
@@ -252,7 +251,7 @@ def test_l_linf_matches_golden_section(n, family):
     tab = build_tableau(n, family, ctx)
     # at N=1 some maxima are interior; at N=3 and 8 all sit at interval
     # ends, where golden section still searches the end gap
-    traj = integrate(tab, entry.problem, 5, SolverConfig(), ctx)
+    traj = integrate(tab, entry.problem, 5, ctx)
     rep = compute_errors(traj, entry.problem.exact, ctx)
     with ctx.workdps(10):
         golden = _golden_linf(traj, entry.problem.exact)
@@ -267,7 +266,7 @@ def test_reference_calls_per_interval():
     entry = harmonic_oscillator()
     n, m = 2, 4
     tab = build_tableau(n, "gauss-legendre", CTX)
-    traj = integrate(tab, entry.problem, m, SolverConfig(), CTX)
+    traj = integrate(tab, entry.problem, m, CTX)
     reference, calls = _counted(entry.problem.exact)
     compute_errors(traj, reference, CTX)
     assert len(calls) <= m * (SUP_SAMPLES + (n + 8) + (n + 1) + 2 + 12)

@@ -4,9 +4,10 @@ import mpmath as mp
 import pytest
 
 from aderdg.arith import make_context
-from aderdg.basis import (BasisError, compute_nodes, compute_weights,
-                          eval_basis, make_basis, require_conditioning,
-                          shifted_legendre)
+from aderdg import basis
+from aderdg.basis import (BasisError, barycentric_weights, compute_nodes,
+                          compute_weights, eval_basis, make_basis,
+                          require_conditioning, shifted_legendre)
 
 CTX = make_context(60)
 
@@ -180,7 +181,7 @@ def test_eval_basis_matches_horner(n, family):
 
 def test_weights_n1_are_half():
     tau = compute_nodes(1, "gauss-legendre", CTX)
-    w = compute_weights(tau, CTX)
+    w = compute_weights(tau, barycentric_weights(tau, CTX), CTX)
     with CTX.workdps():
         assert abs(w[0] - mp.mpf(1) / 2) < CTX.identity_tol
         assert abs(w[1] - mp.mpf(1) / 2) < CTX.identity_tol
@@ -193,7 +194,19 @@ def test_weights_reject_nodes_off_the_rule():
     with CTX.workdps():
         tau[2] += mp.mpf(10) ** -30
     with pytest.raises(BasisError, match="moment"):
-        compute_weights(tuple(tau), CTX)
+        compute_weights(tuple(tau), barycentric_weights(tau, CTX), CTX)
+
+
+def test_make_basis_computes_barycentric_weights_once(monkeypatch):
+    calls = []
+
+    def counted(tau, ctx):
+        calls.append(tau)
+        return barycentric_weights(tau, ctx)
+
+    monkeypatch.setattr(basis, "barycentric_weights", counted)
+    b = make_basis(8, "radau-right", make_context(60))
+    assert len(calls) == 1 and calls[0] == b.tau
 
 
 def test_conditioning_guard():

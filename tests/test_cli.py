@@ -151,6 +151,22 @@ def test_tableau_check_refuses_degree_family_and_low_digits(tmp_path,
     assert run("tableau", "--check", path, "--digits", "60") == 0
 
 
+def test_tableau_check_writes_out_and_refuses_format(tmp_path, capsys):
+    path = str(tmp_path / "t.json")
+    assert run("tableau", "3", "--digits", "60", "--format", "json",
+               "--out", path) == 0
+    report = tmp_path / "report.txt"
+    assert run("tableau", "--check", path, "--digits", "60",
+               "--out", str(report)) == 0
+    assert capsys.readouterr().out == ""
+    assert report.read_text() == ("ok: degree 3 gauss-legendre tableau, "
+                                  "60 stored digits\n")
+    # the check prints one line, so a csv or json format is a usage error
+    for fmt in ("csv", "json"):
+        assert run("tableau", "--check", path, "--digits", "60",
+                   "--format", fmt) == 1
+
+
 def test_tableau_insufficient_digits_is_usage():
     assert run("tableau", "12", "--digits", "30") == 1
 
@@ -218,8 +234,8 @@ def test_stability_explicit_points(capsys):
 
 
 def test_stability_imaginary_axis(capsys):
-    assert run("stability", "3", "--digits", "60", "--axis", "imaginary",
-               "--count", "7") == 0
+    zs = ",".join(f"0+1e{k - 3}i" for k in range(7))
+    assert run("stability", "3", "--digits", "60", f"--z={zs}") == 0
     out = capsys.readouterr().out.splitlines()[1:]
     assert len(out) == 7
     # spot check of the neutral-stability property on the axis
@@ -244,3 +260,13 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block must run as printed
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Library example", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2

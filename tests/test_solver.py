@@ -1,12 +1,14 @@
+import dataclasses
+
 import mpmath as mp
 import pytest
 
+from aderdg import linalg, solver
 from aderdg.arith import make_context
 from aderdg.problems import dahlquist, harmonic_oscillator, pendulum
-from aderdg.solver import (OdeProblem, SolverConfig, SolverError,
-                           StageSolveError, eval_local, integrate,
-                           solve_stages, step, stages_to_qhat,
-                           trajectory_eval)
+from aderdg.solver import (OdeProblem, SolverError, StageSolveError,
+                           eval_local, integrate, solve_stages, stage_tol,
+                           step, stages_to_qhat, trajectory_eval)
 from aderdg.tableau import build_tableau, stability_function
 
 CTX = make_context(60)
@@ -19,7 +21,7 @@ def test_zero_rhs_keeps_constant_state():
         prob = OdeProblem(dim=2, rhs=lambda u, t: (mp.mpf(0), mp.mpf(0)),
                           t0=mp.mpf(0), tf=mp.mpf(1),
                           u0=(mp.mpf(3), mp.mpf(-2)))
-        loc = step(TAB2, prob, prob.u0, prob.t0, mp.mpf(1), SolverConfig(), CTX)
+        loc = step(TAB2, prob, prob.u0, prob.t0, mp.mpf(1), CTX)
         for row in loc.qhat:
             assert max(abs(a - b) for a, b in zip(row, prob.u0)) < CTX.identity_tol
         assert max(abs(a - b) for a, b in zip(loc.u_next, prob.u0)) < CTX.identity_tol
@@ -31,7 +33,7 @@ def test_constant_rhs_gives_linear_predictor():
         prob = OdeProblem(dim=1, rhs=lambda u, t: (c,),
                           t0=mp.mpf(0), tf=mp.mpf(1), u0=(mp.mpf(1),))
         dt = mp.mpf(1) / 2
-        loc = step(TAB3, prob, prob.u0, prob.t0, dt, SolverConfig(), CTX)
+        loc = step(TAB3, prob, prob.u0, prob.t0, dt, CTX)
         for p in range(TAB3.stages):
             expect = 1 + dt * TAB3.basis.tau[p] * c
             assert abs(loc.qhat[p][0] - expect) < CTX.identity_tol
@@ -41,15 +43,15 @@ def test_single_step_matches_stability_function():
     with CTX.workdps():
         lam = mp.mpf(-10) ** 2 * -1  # -100
         entry = dahlquist(lam)
-        traj = integrate(TAB3, entry.problem, 1, SolverConfig(), CTX)
+        traj = integrate(TAB3, entry.problem, 1, CTX)
         r = stability_function(TAB3, lam, CTX)
-        tol = 10 * SolverConfig().resolved_stage_tol(CTX)
+        tol = 10 * stage_tol(CTX)
         assert abs(traj.values[-1][0] - r) <= tol
 
 
 def test_harmonic_accuracy():
     entry = harmonic_oscillator()
-    traj = integrate(TAB3, entry.problem, 24, SolverConfig(), CTX)
+    traj = integrate(TAB3, entry.problem, 24, CTX)
     with CTX.workdps():
         ex = entry.problem.exact(traj.times[-1])
         err = max(abs(a - b) for a, b in zip(traj.values[-1], ex))
@@ -57,44 +59,62 @@ def test_harmonic_accuracy():
 
 
 def test_jacobian_modes_agree():
+    # the analytic Jacobian and central differences (used when a problem
+    # has no Jacobian) converge to the same stages
     entry = pendulum()
-    res = {}
-    for mode in ("analytic", "finite-difference"):
-        traj = integrate(TAB2, entry.problem, 8,
-                         SolverConfig(jacobian_mode=mode), CTX)
-        res[mode] = traj.values[-1]
+    fd_problem = dataclasses.replace(entry.problem, jacobian=None)
+    analytic = integrate(TAB2, entry.problem, 8, CTX).values[-1]
+    fd = integrate(TAB2, fd_problem, 8, CTX).values[-1]
     with CTX.workdps():
-        dev = max(abs(a - b) for a, b in zip(res["analytic"],
-                                            res["finite-difference"]))
+        dev = max(abs(a - b) for a, b in zip(analytic, fd))
         assert dev < mp.mpf(10) ** -35
 
 
 def test_picard_mode_converges_when_contractive():
     entry = harmonic_oscillator()
-    traj = integrate(TAB2, entry.problem, 60,
-                     SolverConfig(jacobian_mode="picard"), CTX)
+    traj = integrate(TAB2, entry.problem, 60, CTX, picard=True)
     with CTX.workdps():
         ex = entry.problem.exact(traj.times[-1])
         assert max(abs(a - b) for a, b in zip(traj.values[-1], ex)) < 1e-4
 
 
+def test_picard_step_factors_no_matrix(monkeypatch):
+    def no_lu(mat):
+        raise AssertionError("Picard iteration factored a matrix")
+
+    monkeypatch.setattr(linalg, "lu_factor", no_lu)
+    entry = harmonic_oscillator()
+    with CTX.workdps():
+        dt = mp.mpf(1) / 10
+        k = solve_stages(TAB2, entry.problem, entry.problem.u0,
+                         entry.problem.t0, dt, CTX, picard=True)
+        qhat = stages_to_qhat(TAB2, entry.problem.u0, k, dt)
+        for p in range(TAB2.stages):
+            t_p = entry.problem.t0 + TAB2.basis.tau[p] * dt
+            f = entry.problem.rhs(qhat[p], t_p)
+            assert max(abs(k[p][i] - f[i]) for i in range(2)) \
+                <= 10 * stage_tol(CTX)
+    with pytest.raises(AssertionError):
+        step(TAB2, entry.problem, entry.problem.u0, entry.problem.t0, dt, CTX)
+
+
 def test_picard_contraction_bound_refused():
     entry = dahlquist(-1000)
     with pytest.raises(SolverError):
-        integrate(TAB2, entry.problem, 1,
-                  SolverConfig(jacobian_mode="picard"), CTX)
+        integrate(TAB2, entry.problem, 1, CTX, picard=True)
 
 
-def test_newton_nonconvergence_reports_interval():
+def test_newton_nonconvergence_reports_interval(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     entry = pendulum()
     with pytest.raises(StageSolveError) as exc:
-        integrate(TAB2, entry.problem, 2, SolverConfig(max_newton=1), CTX)
+        integrate(TAB2, entry.problem, 2, CTX)
     assert exc.value.interval == 0
 
 
 def test_eval_local_snaps_stored_nodes():
     entry = harmonic_oscillator()
-    traj = integrate(TAB3, entry.problem, 4, SolverConfig(), CTX)
+    traj = integrate(TAB3, entry.problem, 4, CTX)
     with CTX.workdps():
         loc = traj.locals[1]
         for p, tp in enumerate(TAB3.basis.tau):
@@ -105,7 +125,7 @@ def test_eval_local_snaps_stored_nodes():
 
 def test_eval_local_outside_interval():
     entry = harmonic_oscillator()
-    traj = integrate(TAB3, entry.problem, 4, SolverConfig(), CTX)
+    traj = integrate(TAB3, entry.problem, 4, CTX)
     with CTX.workdps():
         loc = traj.locals[0]
         with pytest.raises(SolverError):
@@ -116,9 +136,9 @@ def test_trajectory_eval_left_interval_at_nodes():
     # an interior grid node resolves to the interval ending there, where
     # the piecewise polynomial agrees with the node value
     entry = harmonic_oscillator()
-    traj = integrate(TAB3, entry.problem, 6, SolverConfig(), CTX)
+    traj = integrate(TAB3, entry.problem, 6, CTX)
     with CTX.workdps():
-        tol = 10 * SolverConfig().resolved_stage_tol(CTX)
+        tol = 10 * stage_tol(CTX)
         for i in range(1, len(traj.times)):
             v = trajectory_eval(traj, traj.times[i])
             assert max(abs(a - b) for a, b in zip(v, traj.values[i])) <= tol
@@ -126,31 +146,10 @@ def test_trajectory_eval_left_interval_at_nodes():
             trajectory_eval(traj, traj.times[-1] + 1)
 
 
-def test_explicit_grid_matches_uniform():
-    entry = harmonic_oscillator()
-    with CTX.workdps():
-        m = 5
-        h = (entry.problem.tf - entry.problem.t0) / m
-        grid = [entry.problem.t0 + i * h for i in range(m)] + [entry.problem.tf]
-    t1 = integrate(TAB2, entry.problem, m, SolverConfig(), CTX)
-    t2 = integrate(TAB2, entry.problem, grid, SolverConfig(), CTX)
-    with CTX.workdps():
-        dev = max(abs(a - b) for u1, u2 in zip(t1.values, t2.values)
-                  for a, b in zip(u1, u2))
-        assert dev < CTX.identity_tol
-
-
 def test_bad_grids_rejected():
     entry = harmonic_oscillator()
     with pytest.raises(SolverError):
-        integrate(TAB2, entry.problem, 0, SolverConfig(), CTX)
-    with CTX.workdps():
-        bad = [entry.problem.t0, entry.problem.t0]
-        with pytest.raises(SolverError):
-            integrate(TAB2, entry.problem, bad, SolverConfig(), CTX)
-        short = [entry.problem.t0, entry.problem.tf / 2]
-        with pytest.raises(SolverError):
-            integrate(TAB2, entry.problem, short, SolverConfig(), CTX)
+        integrate(TAB2, entry.problem, 0, CTX)
 
 
 def test_problem_rejects_empty_interval():
@@ -165,9 +164,9 @@ def test_stage_solution_consistency():
     with CTX.workdps():
         dt = mp.mpf(1) / 4
         k = solve_stages(TAB2, entry.problem, entry.problem.u0,
-                         entry.problem.t0, dt, SolverConfig(), CTX)
+                         entry.problem.t0, dt, CTX)
         qhat = stages_to_qhat(TAB2, entry.problem.u0, k, dt)
-        tol = 10 * SolverConfig().resolved_stage_tol(CTX)
+        tol = 10 * stage_tol(CTX)
         for p in range(TAB2.stages):
             t_p = entry.problem.t0 + TAB2.basis.tau[p] * dt
             f = entry.problem.rhs(qhat[p], t_p)
