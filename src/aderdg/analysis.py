@@ -40,6 +40,10 @@ class ZeroErrorFloor(AnalysisError):
     """An error hit exact zero: below the roundoff floor, no order fits."""
 
 
+class SweepError(AnalysisError):
+    """The (N, M) lists cannot give a sweep; raised before any cell runs."""
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     n: int
@@ -250,13 +254,13 @@ def convergence_study(entry, n_values, m_values, ctx):
     """Run the (N, M) sweep for a catalog entry and fit all 14 orders; the
     table keeps every cell's trajectory."""
     if any(m < 1 for m in m_values):
-        raise AnalysisError("all interval counts must be >= 1")
+        raise SweepError("all interval counts must be >= 1")
     if len(set(m_values)) != len(m_values):
-        raise AnalysisError("interval counts must be distinct")
+        raise SweepError("interval counts must be distinct")
     if len(m_values) < 3:
-        raise AnalysisError("order fit needs at least 3 interval counts")
+        raise SweepError("order fit needs at least 3 interval counts")
     if len(set(n_values)) != len(n_values):
-        raise AnalysisError("degrees must be distinct")
+        raise SweepError("degrees must be distinct")
     if entry.problem.exact is not None:
         reference = entry.problem.exact
     elif entry.reference_kind == "high-order-oracle":

@@ -6,7 +6,7 @@ to share; precision is per-run, not per-value.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath as mp
 
@@ -22,9 +22,21 @@ class ArithError(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
+    """Working precision; the tolerances follow from decimal_digits."""
     decimal_digits: int
-    unit_roundoff: mp.mpf
-    identity_tol: mp.mpf
+    unit_roundoff: mp.mpf = field(init=False)
+    identity_tol: mp.mpf = field(init=False)
+
+    def __post_init__(self):
+        d = self.decimal_digits
+        if d < MIN_DIGITS:
+            raise ArithError(
+                f"decimal_digits must be >= {MIN_DIGITS}, got {d}"
+                " (lower precision cannot support high-degree tableau conditioning)")
+        # frozen, so the derived fields go past the generated __setattr__
+        with mp.workdps(d + 10):
+            object.__setattr__(self, "unit_roundoff", mp.mpf(10) ** (-d))
+            object.__setattr__(self, "identity_tol", mp.mpf(10) ** (-d + 10))
 
     def workdps(self, extra=0):
         """mpmath context manager at the working precision (+extra digits)."""
@@ -33,15 +45,7 @@ class PrecisionContext:
 
 def make_context(decimal_digits):
     """Build a PrecisionContext; decimal_digits must be at least 30."""
-    decimal_digits = int(decimal_digits)
-    if decimal_digits < MIN_DIGITS:
-        raise ArithError(
-            f"decimal_digits must be >= {MIN_DIGITS}, got {decimal_digits}"
-            " (lower precision cannot support high-degree tableau conditioning)")
-    with mp.workdps(decimal_digits + 10):
-        unit_roundoff = mp.mpf(10) ** (-decimal_digits)
-        identity_tol = mp.mpf(10) ** (-decimal_digits + 10)
-    return PrecisionContext(decimal_digits, unit_roundoff, identity_tol)
+    return PrecisionContext(int(decimal_digits))
 
 
 def parse_decimal(s, ctx):

@@ -7,12 +7,11 @@ completed (for example an error sitting at the roundoff floor).
 
 import argparse
 import json
-import os
 import sys
 
 import mpmath as mp
 
-from .analysis import (AnalysisError, ZeroErrorFloor, convergence_study,
+from .analysis import (AnalysisError, SweepError, convergence_study,
                        format_order_table, format_raw_errors,
                        interface_identity_residual)
 from .arith import ArithError, make_context
@@ -30,8 +29,8 @@ EXIT_VERIFY = 2
 EXIT_SOLVER = 3
 EXIT_ANALYSIS = 4
 
-CONFIG_ENV = "ADERDG_CONFIG"
-CONFIG_DEFAULTS = {"n_cap": 24, "default_digits": 120}
+N_CAP = 24
+DEFAULT_DIGITS = 120
 
 
 class UsageError(Exception):
@@ -45,34 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def load_config():
-    """Site overrides from a key=value file named by $ADERDG_CONFIG."""
-    cfg = dict(CONFIG_DEFAULTS)
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return cfg
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}")
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line without '=': {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in cfg:
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            cfg[key] = int(val)
-        except ValueError:
-            raise UsageError(f"config key {key!r} needs an integer, got {val!r}")
-    return cfg
-
-
 def _int_list(text):
     try:
         vals = [int(s) for s in text.split(",") if s.strip()]
@@ -84,11 +55,17 @@ def _int_list(text):
 
 
 def _parse_z(text, ctx):
+    # only a trailing i is the imaginary unit: "inf" stays infinity
+    num = text.strip()
+    if num.endswith("i"):
+        num = num[:-1] + "j"
     with ctx.workdps(10):
         try:
-            z = mp.mpmathify(text.replace("i", "j"))
-        except (ValueError, TypeError):
+            z = mp.mpmathify(num)
+        except (ValueError, TypeError, AttributeError):
             raise UsageError(f"cannot parse {text!r} as a (complex) number")
+    if not mp.isfinite(z):
+        raise UsageError(f"--z point {text!r} is not finite")
     return z
 
 
@@ -100,14 +77,14 @@ def _emit(text, out):
         print(text)
 
 
-def build_parser(cfg):
+def build_parser():
     top = _Parser(prog="aderdg",
                   description="High order implicit time integration with "
                               "a DG predictor tableau.")
     sub = top.add_subparsers(dest="command", metavar="command")
 
     def common(p):
-        p.add_argument("--digits", type=int, default=cfg["default_digits"],
+        p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                        help="working decimal digits (default %(default)s)")
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
@@ -164,17 +141,16 @@ def build_parser(cfg):
     return top
 
 
-def _require_degree(n, cfg, what="degree"):
+def _require_degree(n):
     if n is None:
-        raise UsageError(f"a {what} N is required")
+        raise UsageError("a degree N is required")
     if n < 0:
-        raise UsageError(f"{what} must be nonnegative")
-    if n > cfg["n_cap"]:
-        raise UsageError(
-            f"{what} N={n} above the configured cap {cfg['n_cap']}")
+        raise UsageError("degree must be nonnegative")
+    if n > N_CAP:
+        raise UsageError(f"degree N={n} above the cap {N_CAP}")
 
 
-def cmd_tableau(args, cfg):
+def cmd_tableau(args):
     ctx = make_context(args.digits)
     if args.check:
         if args.n is not None or args.family is not None:
@@ -191,7 +167,7 @@ def cmd_tableau(args, cfg):
         _emit(f"ok: degree {tab.n} {tab.family} tableau, "
               f"{tab.digits} stored digits", args.out)
         return EXIT_OK
-    _require_degree(args.n, cfg)
+    _require_degree(args.n)
     tab = build_tableau(args.n, args.family or "gauss-legendre", ctx)
     if args.format == "json":
         _emit(export_tableau(tab), args.out)
@@ -207,9 +183,9 @@ def cmd_tableau(args, cfg):
     return EXIT_OK
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     ctx = make_context(args.digits)
-    _require_degree(args.n, cfg)
+    _require_degree(args.n)
     n = args.n
     tab = build_tableau(n, args.family, ctx)
     tol = ctx.identity_tol
@@ -270,9 +246,9 @@ def cmd_verify(args, cfg):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_solve(args, cfg):
+def cmd_solve(args):
     ctx = make_context(args.digits)
-    _require_degree(args.n, cfg)
+    _require_degree(args.n)
     if args.m < 1:
         raise UsageError("interval count must be >= 1")
     if args.dense < 0:
@@ -316,20 +292,12 @@ def cmd_solve(args, cfg):
     return EXIT_OK
 
 
-def cmd_converge(args, cfg):
+def cmd_converge(args):
     ctx = make_context(args.digits)
     n_values = _int_list(args.n)
     m_values = _int_list(args.m)
     for n in n_values:
-        _require_degree(n, cfg)
-    if min(m_values) < 1:
-        raise UsageError("interval counts must be >= 1")
-    if len(set(m_values)) != len(m_values):
-        raise UsageError("interval counts must be distinct")
-    if len(m_values) < 3:
-        raise UsageError("order fit needs at least 3 interval counts")
-    if len(set(n_values)) != len(n_values):
-        raise UsageError("degrees must be distinct")
+        _require_degree(n)
     entry = catalog_lookup(args.problem)
     table = convergence_study(entry, n_values, m_values, ctx)
     if args.format == "json":
@@ -350,9 +318,9 @@ def cmd_converge(args, cfg):
     return EXIT_OK
 
 
-def cmd_stability(args, cfg):
+def cmd_stability(args):
     ctx = make_context(args.digits)
-    _require_degree(args.n, cfg)
+    _require_degree(args.n)
     tab = build_tableau(args.n, "gauss-legendre", ctx)
     with ctx.workdps(10):
         if args.z:
@@ -386,17 +354,16 @@ COMMANDS = {"tableau": cmd_tableau, "verify": cmd_verify, "solve": cmd_solve,
 
 def main(argv=None):
     try:
-        cfg = load_config()
-        parser = build_parser(cfg)
+        parser = build_parser()
         args = parser.parse_args(argv)
         if not args.command:
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return COMMANDS[args.command](args, cfg)
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithError, ProblemError, OSError) as exc:
+    except (ArithError, ProblemError, SweepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BasisError as exc:

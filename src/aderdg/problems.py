@@ -21,6 +21,11 @@ class OracleValidationError(ProblemError):
 # desk-scale working precision so entries never limit a run's accuracy
 _CONST_DPS = 1200
 
+# the oracle runs this many digits above the caller's precision; its grid
+# halving must agree, and its invariant hold, to 10^ORACLE_TOL_EXP
+ORACLE_EXTRA_DIGITS = 60
+ORACLE_TOL_EXP = -40
+
 
 @dataclass(frozen=True)
 class ProblemCatalogEntry:
@@ -64,6 +69,8 @@ def dahlquist(lam):
     """Scalar linear test problem u' = lam*u, u(0) = 1."""
     with mp.workdps(_CONST_DPS):
         lam = mp.mpmathify(lam)
+    if not mp.isfinite(lam):
+        raise ProblemError(f"dahlquist lambda must be finite, got {lam}")
     problem = OdeProblem(
         dim=1,
         rhs=lambda u, t: (lam * u[0],),
@@ -75,8 +82,8 @@ def dahlquist(lam):
         reference_kind="exact-closed-form")
 
 
-def polynomial_problem(coeffs, u0=mp.mpf(0), t0=mp.mpf(0), tf=mp.mpf(1)):
-    """u' = f(t) with f given in ascending monomial coefficients."""
+def polynomial_problem(coeffs, u0=mp.mpf(0)):
+    """u' = f(t) on [0, 1] with f given in ascending monomial coefficients."""
     coeffs = tuple(mp.mpmathify(c) for c in coeffs)
 
     def f(t):
@@ -93,8 +100,8 @@ def polynomial_problem(coeffs, u0=mp.mpf(0), t0=mp.mpf(0), tf=mp.mpf(1)):
         dim=1,
         rhs=lambda u, t: (f(t),),
         jacobian=lambda u, t: ((mp.mpf(0),),),
-        exact=lambda t: (u0 + antideriv(t) - antideriv(t0),),
-        t0=mp.mpf(t0), tf=mp.mpf(tf), u0=(u0,))
+        exact=lambda t: (u0 + antideriv(t),),
+        t0=mp.mpf(0), tf=mp.mpf(1), u0=(u0,))
 
 
 def polynomial_rhs(degree, seed):
@@ -125,7 +132,8 @@ def catalog_lookup(spec):
             # dahlquist() parses the string at the catalog precision
             return dahlquist(spec.split(":", 1)[1])
         except (ValueError, TypeError) as exc:
-            raise ProblemError(f"bad dahlquist parameter in {spec!r}") from exc
+            raise ProblemError(
+                f"bad dahlquist parameter in {spec!r}: {exc}") from exc
     if spec.startswith("poly:"):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -137,23 +145,20 @@ def catalog_lookup(spec):
     raise ProblemError(f"unknown problem {spec!r}")
 
 
-def build_oracle_reference(entry, n_max, m_max, ctx, *,
-                           agree_tol=None, drift_tol=None, extra_digits=60):
+def build_oracle_reference(entry, n_max, m_max, ctx):
     """Self-converged dense reference for problems without a closed form.
 
     Runs the integrator itself at degree n_max+8 on 4*m_max and 8*m_max
-    intervals with extra working digits; accepts the finer run only if
-    the two agree at shared nodes and (when the entry carries a conserved
-    quantity) the finer run's drift stays below tolerance.
+    intervals with ORACLE_EXTRA_DIGITS more working digits; accepts the
+    finer run only if the two agree at shared nodes and (when the entry
+    carries a conserved quantity) the finer run's drift stays below
+    10^ORACLE_TOL_EXP.
     """
     from .arith import make_context
     from .tableau import build_tableau
 
-    octx = make_context(ctx.decimal_digits + extra_digits)
-    if agree_tol is None:
-        agree_tol = mp.mpf(10) ** -40
-    if drift_tol is None:
-        drift_tol = mp.mpf(10) ** -40
+    octx = make_context(ctx.decimal_digits + ORACLE_EXTRA_DIGITS)
+    tol = mp.mpf(10) ** ORACLE_TOL_EXP
     n_ref = n_max + 8
     m_ref = 4 * m_max
     tab = build_tableau(n_ref, "gauss-legendre", octx)
@@ -163,14 +168,14 @@ def build_oracle_reference(entry, n_max, m_max, ctx, *,
         agree = max(abs(coarse.values[i][c] - fine.values[2 * i][c])
                     for i in range(m_ref + 1)
                     for c in range(entry.problem.dim))
-        if agree > agree_tol:
+        if agree > tol:
             raise OracleValidationError(
                 f"oracle grid-halving disagreement {mp.nstr(agree, 5)}")
         if entry.invariant is not None:
             h0 = entry.invariant(fine.values[0], fine.times[0])
             drift = max(abs(entry.invariant(u, t) - h0)
                         for u, t in zip(fine.values, fine.times))
-            if drift > drift_tol:
+            if drift > tol:
                 raise OracleValidationError(
                     f"oracle invariant drift {mp.nstr(drift, 5)}")
 

@@ -2,11 +2,11 @@ import mpmath as mp
 import pytest
 
 from aderdg import analysis
-from aderdg.analysis import (AnalysisError, ZeroErrorFloor, _parabolic_max,
-                             compute_errors, convergence_study, fit_order,
-                             format_order_table, format_raw_errors,
-                             interface_identity_residual, ERROR_FIELDS,
-                             ORDER_COLUMNS, SUP_SAMPLES)
+from aderdg.analysis import (AnalysisError, SweepError, ZeroErrorFloor,
+                             _parabolic_max, compute_errors,
+                             convergence_study, fit_order, format_order_table,
+                             format_raw_errors, interface_identity_residual,
+                             ERROR_FIELDS, ORDER_COLUMNS, SUP_SAMPLES)
 from aderdg.arith import make_context
 from aderdg.problems import harmonic_oscillator, polynomial_rhs
 from aderdg.solver import eval_local, integrate, stage_tol
@@ -126,7 +126,7 @@ def test_convergence_study_keeps_trajectories():
 
 def test_study_rejects_bad_m():
     entry = harmonic_oscillator()
-    with pytest.raises(AnalysisError):
+    with pytest.raises(SweepError):
         convergence_study(entry, [2], [0, 4, 8], CTX)
 
 
@@ -135,7 +135,7 @@ def test_study_rejects_repeated_m_before_any_cell(monkeypatch):
         raise AssertionError("a cell ran before the M list was checked")
 
     monkeypatch.setattr(analysis, "integrate", no_cell)
-    with pytest.raises(AnalysisError, match="distinct"):
+    with pytest.raises(SweepError, match="distinct"):
         convergence_study(harmonic_oscillator(), [2], [4, 8, 4], CTX)
 
 
@@ -149,7 +149,7 @@ def test_study_rejects_short_m_or_repeated_n_before_any_cell(
         raise AssertionError("a cell ran before the lists were checked")
 
     monkeypatch.setattr(analysis, "integrate", no_cell)
-    with pytest.raises(AnalysisError, match=match):
+    with pytest.raises(SweepError, match=match):
         convergence_study(harmonic_oscillator(), n_values, m_values, CTX)
 
 

@@ -3,8 +3,8 @@ import random
 import mpmath as mp
 import pytest
 
-from aderdg.arith import (ArithError, format_decimal, make_context,
-                          parse_decimal)
+from aderdg.arith import (ArithError, PrecisionContext, format_decimal,
+                          make_context, parse_decimal)
 
 
 def test_context_derived_values():
@@ -26,6 +26,15 @@ def test_context_boundary():
 def test_context_rejects_low_precision(digits):
     with pytest.raises(ArithError):
         make_context(digits)
+
+
+def test_context_derives_its_tolerances():
+    # the tolerances follow from the digits and cannot be passed in
+    with pytest.raises(ArithError):
+        PrecisionContext(29)
+    with pytest.raises(TypeError):
+        PrecisionContext(60, mp.mpf(1), mp.mpf(1))
+    assert PrecisionContext(120) == make_context(120)
 
 
 def test_context_is_immutable():

@@ -5,7 +5,7 @@ import shlex
 import mpmath as mp
 import pytest
 
-from aderdg.cli import CONFIG_DEFAULTS, build_parser, main
+from aderdg.cli import build_parser, main
 from aderdg.tableau import build_tableau, export_tableau
 from aderdg.arith import make_context
 
@@ -42,23 +42,21 @@ def test_degree_zero_verifies_and_round_trips(family, tmp_path, capsys):
     assert run("tableau", "--check", path, "--digits", "60") == 0
 
 
-def test_verify_rejects_degree_above_cap():
-    assert run("verify", "30", "--digits", "120") == 1
+def test_verify_rejects_degree_above_cap(capsys):
+    assert run("verify", "25", "--digits", "120") == 1
+    assert "cap 24" in capsys.readouterr().err
 
 
-def test_config_overrides_cap(tmp_path, monkeypatch):
+def test_default_digits_is_120():
+    assert build_parser().parse_args(["verify", "1"]).digits == 120
+
+
+def test_site_config_variable_is_ignored(tmp_path, monkeypatch):
+    # no environment variable changes the CLI, a garbage file included
     cfg = tmp_path / "site.cfg"
-    cfg.write_text("n_cap = 2\n# comment\ndefault_digits = 60\n")
+    cfg.write_text("nonsense_key = 5\nn_cap = 0\n")
     monkeypatch.setenv("ADERDG_CONFIG", str(cfg))
-    assert run("verify", "3") == 1       # cap lowered
-    assert run("verify", "2") == 0       # default digits picked up
-
-
-def test_config_rejects_garbage(tmp_path, monkeypatch):
-    cfg = tmp_path / "site.cfg"
-    cfg.write_text("nonsense_key = 5\n")
-    monkeypatch.setenv("ADERDG_CONFIG", str(cfg))
-    assert run("verify", "1") == 1
+    assert run("verify", "1", "--digits", "60") == 0
 
 
 def test_tableau_json_roundtrip(tmp_path, capsys):
@@ -247,6 +245,13 @@ def test_stability_bad_z():
     assert run("stability", "1", "--digits", "60", "--z", "zzz") == 1
 
 
+@pytest.mark.parametrize("z", ["inf", "-inf", "nan", "1+infi"])
+def test_stability_refuses_non_finite_z(z, capsys):
+    assert run("stability", "1", "--digits", "60", f"--z={z}") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+
+
 def test_readme_command_lines_parse():
     # every example in the README's "Command line" block must parse
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -256,7 +261,7 @@ def test_readme_command_lines_parse():
     lines = [ln.split("#", 1)[0] for ln in block.splitlines()
              if ln.startswith("aderdg ")]
     assert len(lines) >= 5
-    parser = build_parser(CONFIG_DEFAULTS)
+    parser = build_parser()
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command

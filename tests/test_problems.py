@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -107,7 +108,8 @@ def test_catalog_lookup_parses_lambda_at_catalog_precision():
 
 
 @pytest.mark.parametrize("bad", ["", "unknown", "poly:3", "poly:a:b",
-                                 "dahlquist:xyz", "poly:-1:0"])
+                                 "dahlquist:xyz", "poly:-1:0", "dahlquist:nan",
+                                 "dahlquist:inf", "dahlquist:-inf"])
 def test_catalog_lookup_rejects(bad):
     with pytest.raises(ProblemError):
         catalog_lookup(bad)
@@ -127,9 +129,15 @@ def test_oracle_reference_matches_closed_form():
             assert max(abs(a - b) for a, b in zip(got, exact)) < mp.mpf(10) ** -30
 
 
+def test_oracle_validation_rejects_grid_halving_disagreement():
+    # degree 8 on 4 and 8 intervals cannot resolve the pendulum to 1e-40
+    with pytest.raises(OracleValidationError, match="grid-halving"):
+        build_oracle_reference(pendulum(), 0, 1, CTX)
+
+
 def test_oracle_validation_rejects_drift():
-    entry = pendulum()
-    with pytest.raises(OracleValidationError):
-        with CTX.workdps():
-            build_oracle_reference(entry, 0, 1, CTX,
-                                   drift_tol=mp.mpf(10) ** -200)
+    # a degree-2 right-hand side is integrated exactly, so the halving
+    # check passes and only the (non-conserved) invariant can fail
+    entry = replace(polynomial_rhs(2, 0), invariant=lambda u, t: t)
+    with pytest.raises(OracleValidationError, match="invariant drift"):
+        build_oracle_reference(entry, 0, 1, CTX)
