@@ -17,6 +17,7 @@ from . import linalg
 from .basis import eval_basis
 
 MAX_ITER = 60     # stage iterations per step, Newton or Picard
+FACTOR_GUARD = 25  # digits past the residual's at which a refresh is factored
 
 
 class SolverError(ValueError):
@@ -61,7 +62,8 @@ class Trajectory:
 
 
 def stage_tol(ctx):
-    """Max-norm stage residual at which the stage iteration stops."""
+    """Max-norm stage residual, per unit of max(1, max|F(u_n)|), at which
+    the stage iteration stops."""
     return mp.mpf(10) ** (-ctx.decimal_digits + 20)
 
 
@@ -102,36 +104,48 @@ def _newton_matrix(tab, jacs, dt):
     return mat
 
 
-def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False):
+def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
     """Stage derivatives k of one step, solved to the stage tolerance.
 
-    Newton works on the stacked residual r = k_p - F(state_p, t_p) with the
-    Jacobian frozen at (u_n, t_n); it is refreshed at the current stage
-    states every 5 iterations or when the residual contraction stalls.
-    Picard is the same iteration with the Jacobian taken as zero: the
-    Newton matrix is I, k - r = F(states(k)) and no matrix is factored
-    (Hairer & Wanner, Solving ODEs II, section IV.8).
+    Newton works on the stacked residual r = k_p - F(state_p, t_p), always
+    evaluated at the working precision, and stops at max|r| <= stage_tol *
+    max(1, max|F(u_n, t_p)|), since the rounding floor of r grows with the
+    derivatives.  The Newton matrix sets only the contraction rate, never
+    the fixed point.  The optional one-element list `newton` carries its LU
+    factorization from step to step; when it holds None the matrix is built
+    from the Jacobian at (u_n, t_n).  Every 5 iterations it is rebuilt from
+    per-stage Jacobians at the current states and factored at the digits
+    they carry, FACTOR_GUARD + max(0, -log10(max|r|)); a refresh forced by
+    a stalled contraction, or whose rounded matrix is singular, is factored
+    at the working precision.  Picard is the same iteration with the
+    Jacobian taken as zero: the Newton matrix is I, k - r = F(states(k)) and
+    no matrix is factored (Hairer & Wanner, Solving ODEs II, section IV.8).
     """
     if not dt > 0:
         raise SolverError("dt must be positive")
+    newton = newton or [None]
     s, d = tab.stages, problem.dim
-    tol = stage_tol(ctx)
     with ctx.workdps(10):
+        full = mp.mp.dps
         t_p = [t_n + tab.basis.tau[p] * dt for p in range(s)]
 
         def states(k):
             return [[u_n[i] + dt * mp.fsum(tab.a[p][q] * k[q][i] for q in range(s))
                      for i in range(d)] for p in range(s)]
 
-        def factor(jacs):
+        def factor(jacs, dps):
             try:
-                return linalg.lu_factor(_newton_matrix(tab, jacs, dt))
+                with mp.workdps(dps):
+                    return linalg.lu_factor(_newton_matrix(tab, jacs, dt))
             except linalg.SingularMatrixError as exc:
+                if dps < full:
+                    return factor(jacs, full)
                 raise StageSolveError("singular Newton matrix") from exc
 
         k = [list(problem.rhs(u_n, t_p[p])) for p in range(s)]
-        fact = None if picard else factor(
-            [_stage_jacobian(problem, ctx, u_n, t_n)] * s)
+        tol = stage_tol(ctx) * max(1, max(abs(x) for row in k for x in row))
+        if not picard and newton[0] is None:
+            newton[0] = factor([_stage_jacobian(problem, ctx, u_n, t_n)] * s, full)
         prev = None
         for it in range(MAX_ITER):
             q = states(k)
@@ -141,10 +155,12 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False):
             if rn <= tol:
                 return [tuple(row) for row in k]
             if not picard and it > 0 and (rn > prev / 2 or it % 5 == 0):
-                fact = factor([_stage_jacobian(problem, ctx, q[p], t_p[p])
-                               for p in range(s)])
+                dps = full if rn > prev / 2 else min(
+                    full, FACTOR_GUARD + max(0, -int(mp.log10(rn))))
+                newton[0] = factor([_stage_jacobian(problem, ctx, q[p], t_p[p])
+                                    for p in range(s)], dps)
             # k -= M^-1 r for the Newton matrix M, which is I for Picard
-            delta = r if picard else linalg.lu_solve(fact, r)
+            delta = r if picard else linalg.lu_solve(newton[0], r)
             for p in range(s):
                 for i in range(d):
                     k[p][i] -= delta[p * d + i]
@@ -165,9 +181,9 @@ def stages_to_qhat(tab, u_n, k, dt):
             for p in range(s))
 
 
-def step(tab, problem, u_n, t_n, dt, ctx, picard=False):
+def step(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
     """One integration step; returns the interval's LocalSolution."""
-    k = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard)
+    k = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard, newton)
     with ctx.workdps(10):
         u_next = tuple(
             u_n[i] + dt * mp.fsum(tab.basis.w[p] * k[p][i]
@@ -237,9 +253,10 @@ def integrate(tab, problem, m, ctx, picard=False):
     u = tuple(problem.u0)
     values = [u]
     locals_ = []
+    newton = [None]   # one Newton factorization, carried from step to step
     for i in range(m):
         try:
-            loc = step(tab, problem, u, times[i], dts[i], ctx, picard)
+            loc = step(tab, problem, u, times[i], dts[i], ctx, picard, newton)
         except StageSolveError as exc:
             raise StageSolveError(f"interval {i}: {exc}", interval=i) from exc
         locals_.append(loc)

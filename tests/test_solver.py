@@ -171,3 +171,113 @@ def test_stage_solution_consistency():
             t_p = entry.problem.t0 + TAB2.basis.tau[p] * dt
             f = entry.problem.rhs(qhat[p], t_p)
             assert max(abs(k[p][i] - f[i]) for i in range(2)) <= tol
+
+
+def _count_lu(monkeypatch):
+    """Patch linalg's LU calls to record the precision of each
+    factorization and count the solves."""
+    calls = {"factor_dps": [], "solves": 0}
+    lu_factor, lu_solve = linalg.lu_factor, linalg.lu_solve
+
+    def factor(a):
+        calls["factor_dps"].append(mp.mp.dps)
+        return lu_factor(a)
+
+    def solve(fact, b):
+        calls["solves"] += 1
+        return lu_solve(fact, b)
+
+    monkeypatch.setattr(linalg, "lu_factor", factor)
+    monkeypatch.setattr(linalg, "lu_solve", solve)
+    return calls
+
+
+@pytest.mark.parametrize("entry, m", [(dahlquist(-10 ** 4), 16),
+                                      (harmonic_oscillator(), 8)],
+                         ids=["dahlquist", "harmonic"])
+def test_linear_problem_factors_once_per_integrate(monkeypatch, entry, m):
+    # the Newton factorization is carried from step to step, so a linear
+    # constant-coefficient problem factors once and takes one iteration
+    # per step
+    calls = _count_lu(monkeypatch)
+    integrate(TAB2, entry.problem, m, CTX)
+    assert (len(calls["factor_dps"]), calls["solves"]) == (1, m)
+
+
+@pytest.mark.parametrize("lam", ["-1e32", "-1e45"])
+def test_stiff_linear_solve_converges_at_its_rounding_floor(lam):
+    # the residual's rounding floor grows with |lam u_n|, far past an
+    # absolute 1e-40 at 60 digits.  Node i is R(lam dt)^i with dt = 1/4 to
+    # the stage tolerance, absolute for these |u| <= 1: the update
+    # u_n + dt sum_p w_p k_p cancels log10|lam dt| digits, so the tiny
+    # nodes carry no relative accuracy at 60 digits
+    traj = integrate(TAB2, dahlquist(lam).problem, 4, CTX)
+    with CTX.workdps():
+        r = stability_function(TAB2, mp.mpf(lam) / 4, CTX)
+        for i, u in enumerate(traj.values):
+            assert abs(u[0] - r ** i) <= stage_tol(CTX)
+
+
+def _factored_for(tab, problem, dt):
+    with mp.workdps(tab.basis.work_dps):
+        jacs = [problem.jacobian(problem.u0, problem.t0)] * tab.stages
+        return linalg.lu_factor(solver._newton_matrix(tab, jacs, dt))
+
+
+def test_carried_matrix_sets_only_the_rate():
+    # a carried factorization built for 10 dt converges to the stages of a
+    # fresh solve
+    problem = pendulum().problem
+    with CTX.workdps():
+        dt = mp.mpf(1) / 4
+        fresh = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        newton = [_factored_for(TAB2, problem, 10 * dt)]
+        k = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX,
+                         newton=newton)
+        assert max(abs(a - b) for ka, kb in zip(k, fresh)
+                   for a, b in zip(ka, kb)) <= 10 * stage_tol(CTX)
+
+
+def test_refresh_precision(monkeypatch):
+    # a scheduled refresh is factored at the digits the stage states carry,
+    # below the working precision; a refresh forced by a stall is factored
+    # at the working precision
+    ctx = make_context(120)
+    tab = build_tableau(2, "gauss-legendre", ctx)
+    problem = pendulum().problem
+    with ctx.workdps():
+        dt = mp.mpf(1) / 4
+        # the wrong sign makes the first iteration stall, long before the
+        # first scheduled refresh
+        wrong = _factored_for(tab, problem, -10 * dt)
+        calls = _count_lu(monkeypatch)
+        solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx)
+        full, scheduled = calls["factor_dps"][0], calls["factor_dps"][1:]
+        assert full > ctx.decimal_digits
+        assert scheduled and max(scheduled) < full
+        calls["factor_dps"].clear()
+        solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx,
+                     newton=[wrong])
+        assert calls["factor_dps"][0] == full
+
+
+def test_singular_rounded_refresh_is_refactored(monkeypatch):
+    # a refresh whose rounded matrix factors as singular is factored again
+    # at the working precision instead of failing the step
+    problem = pendulum().problem
+    with CTX.workdps():
+        dt = mp.mpf(1) / 4
+        fresh = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        lu_factor, dps = linalg.lu_factor, []
+
+        def factor(a):
+            dps.append(mp.mp.dps)
+            if mp.mp.dps < CTX.decimal_digits:
+                raise linalg.SingularMatrixError("rounded to singular")
+            return lu_factor(a)
+
+        monkeypatch.setattr(linalg, "lu_factor", factor)
+        k = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        assert min(dps) < CTX.decimal_digits and dps[-1] > CTX.decimal_digits
+        assert max(abs(a - b) for ka, kb in zip(k, fresh)
+                   for a, b in zip(ka, kb)) <= 10 * stage_tol(CTX)
