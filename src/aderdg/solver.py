@@ -207,15 +207,14 @@ def eval_local(local, basis, t):
         for p, tp in enumerate(basis.tau):
             if abs(tau - tp) <= eps * (1 + abs(tp)):
                 return tuple(local.qhat[p])
-        return combine_basis(basis, eval_basis(basis, tau), local.qhat)
+        return combine_basis(eval_basis(basis, tau), local.qhat)
 
 
-def combine_basis(basis, vals, qhat):
+def combine_basis(vals, qhat):
     """Predictor value sum_p vals[p] qhat[p] from basis values at one point,
-    per component, at the basis's working precision."""
-    with mp.workdps(basis.work_dps):
-        return tuple(mp.fsum(v * row[i] for v, row in zip(vals, qhat))
-                     for i in range(len(qhat[0])))
+    per component, at the caller's precision."""
+    return tuple(mp.fsum(v * row[i] for v, row in zip(vals, qhat))
+                 for i in range(len(qhat[0])))
 
 
 def trajectory_eval(traj, t):

@@ -6,10 +6,11 @@ from aderdg.analysis import (AnalysisError, SweepError, ZeroErrorFloor,
                              _parabolic_max, compute_errors,
                              convergence_study, fit_order, format_order_table,
                              format_raw_errors, interface_identity_residual,
-                             ERROR_FIELDS, ORDER_COLUMNS, SUP_SAMPLES)
+                             ERROR_FIELDS, ERROR_GUARD, ORDER_COLUMNS,
+                             SUP_SAMPLES)
 from aderdg.arith import make_context
 from aderdg.problems import harmonic_oscillator, polynomial_rhs
-from aderdg.solver import eval_local, integrate, stage_tol
+from aderdg.solver import eval_local, integrate, stage_tol, trajectory_eval
 from aderdg.tableau import build_tableau
 
 CTX = make_context(60)
@@ -270,6 +271,98 @@ def test_reference_calls_per_interval():
     reference, calls = _counted(entry.problem.exact)
     compute_errors(traj, reference, CTX)
     assert len(calls) <= m * (SUP_SAMPLES + (n + 8) + (n + 1) + 2 + 12)
+
+
+def _recorded(f):
+    """f, wrapped to record the working digits of each call."""
+    dps = []
+
+    def g(t):
+        dps.append(mp.mp.dps)
+        return f(t)
+    return g, dps
+
+
+def _node_error_digits(traj, exact, ctx):
+    # the d of compute_errors: the decade of the smallest nonzero error of
+    # the node values and of the local solution at the grid nodes,
+    # relative to max(1, max|u_n|)
+    with ctx.workdps(10):
+        errs = [max(abs(a - b) for a, b in zip(u, exact(t)))
+                for t, v in zip(traj.times, traj.values)
+                for u in (v, trajectory_eval(traj, t))]
+        scale = max(1, max(abs(x) for v in traj.values for x in v))
+        return max(0, -int(mp.floor(mp.log10(
+            min(x for x in errs if x) / scale))))
+
+
+@pytest.mark.parametrize("n, m, calls", [(4, 8, 657), (2, 4, 338)])
+def test_local_norms_run_at_reduced_precision(n, m, calls):
+    # harmonic at 500 digits makes as many reference calls as when every
+    # norm ran at the working precision: the M+1 grid-node calls at the
+    # working 510 digits, the others at no more than ERROR_GUARD + d.  The
+    # sup-norm refinement of N=2, M=4 meets an interior maximum; at a guard
+    # of 30 digits it took 341 calls, at 20 it took 358
+    ctx = make_context(500)
+    full = ctx.decimal_digits + 10
+    entry = harmonic_oscillator()
+    traj = integrate(build_tableau(n, "gauss-legendre", ctx), entry.problem,
+                     m, ctx)
+    reference, dps = _recorded(entry.problem.exact)
+    compute_errors(traj, reference, ctx)
+    assert len(dps) == calls
+    assert dps[:m + 1] == [full] * (m + 1)
+    bound = ERROR_GUARD + _node_error_digits(traj, entry.problem.exact, ctx)
+    assert max(dps[m + 1:]) <= bound < full
+
+
+@pytest.mark.parametrize("family, n, m", [
+    ("gauss-legendre", 2, 4), ("gauss-legendre", 2, 9),
+    ("gauss-legendre", 8, 4), ("gauss-legendre", 8, 9),
+    # the node at tau = 1 is also the last sup-norm sample
+    ("radau-right", 2, 4), ("radau-right", 2, 9)])
+def test_reduced_local_norms_match_working_precision(family, n, m):
+    ctx = make_context(120)
+    entry = harmonic_oscillator()
+    traj = integrate(build_tableau(n, family, ctx), entry.problem, m, ctx)
+    reference, dps = _recorded(entry.problem.exact)
+    rep = compute_errors(traj, reference, ctx)
+    assert max(dps[m + 1:]) < ctx.decimal_digits + 10  # reduced, no fallback
+    with ctx.workdps(10):
+        full = analysis._local_errors(traj, entry.problem.exact, ctx)
+        assert len(full) == 6
+        for name, value in full.items():
+            assert abs(rep[name] / value - 1) < mp.mpf(10) ** (
+                2 - ERROR_GUARD), name
+
+
+def test_local_norms_at_the_floor_fall_back_to_working_precision():
+    # the integrator is exact here, so every local-solution norm sits at
+    # the working precision's roundoff floor
+    entry = polynomial_rhs(2, 7)
+    exact = entry.problem.exact
+    traj = integrate(build_tableau(5, "gauss-legendre", CTX), entry.problem,
+                     4, CTX)
+    full = CTX.decimal_digits + 10
+    floor = 10 ** 6 * CTX.unit_roundoff
+    rep = compute_errors(traj, exact, CTX)
+    for name in ERROR_FIELDS:
+        if name.startswith(("lq_", "l_")):
+            assert rep[name] <= floor, name
+    # a reference off by 3e-5 at the grid nodes only: the grid-node errors
+    # put the six local norms at ERROR_GUARD + 5 digits, where the Gauss and
+    # stage points see that precision's floor, so all six run again at the
+    # working precision; l_linf samples the grid nodes and sees the offset
+    grid = set(traj.times)
+
+    def off_at_grid(t):
+        u = exact(t)
+        return tuple(x + 3 * mp.mpf(10) ** -5 for x in u) if t in grid else u
+    reference, dps = _recorded(off_at_grid)
+    rep = compute_errors(traj, reference, CTX)
+    assert min(dps) < full and dps[-1] == full
+    for name in ("lq_l1", "lq_l2", "lq_linf", "l_l1", "l_l2"):
+        assert rep[name] <= floor, name
 
 
 def test_zero_error_floor_on_exact_polynomial():

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from aderdg.cli import build_parser, main
-from aderdg.tableau import build_tableau, export_tableau
+from aderdg.tableau import build_tableau, export_tableau, stability_function
 from aderdg.arith import make_context
 
 
@@ -185,6 +185,27 @@ def test_solve_solver_failure_exit():
     # the fixed-point mode refuses a step violating its contraction bound
     assert run("solve", "dahlquist:-1000", "--n", "2", "--m", "1",
                "--digits", "60", "--jacobian", "picard") == 3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "node values are accurate in absolute terms only: the update u_n + dt "
+    "sum_p w_p k_p cancels log10|lam dt| digits, so node 3 prints 4.5e-115 "
+    "for R^3 = 1.7e-132 and node 4 -2.55e-141 for R^4 = 2.1e-176"))
+def test_stiff_solve_prints_node_signs_and_magnitudes(capsys):
+    # node i of dahlquist(lam) on 4 intervals is R(lam/4)^i
+    assert run("solve", "dahlquist:-1e45", "--n", "2", "--m", "4",
+               "--digits", "60") == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[1:2] == ["node"]]
+    assert len(rows) == 5
+    ctx = make_context(300)
+    with ctx.workdps():
+        r = stability_function(build_tableau(2, "gauss-legendre", ctx),
+                               mp.mpf("-1e45") / 4, ctx)
+        for i, row in enumerate(rows):
+            u, want = mp.mpf(row[2]), r ** i
+            assert mp.sign(u) == mp.sign(want), f"node {i} sign"
+            assert abs(u / want - 1) < mp.mpf(10) ** -6, f"node {i}"
 
 
 def test_converge_harmonic(capsys):
