@@ -105,7 +105,9 @@ def _newton_matrix(tab, jacs, dt):
 
 
 def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
-    """Stage derivatives k of one step, solved to the stage tolerance.
+    """Stage derivatives k of one step, solved to the stage tolerance, and
+    the predictor coefficients qhat_p = u_n + dt sum_q a_pq k_q: the stage
+    states at which the converged residual was evaluated.  Returns (k, qhat).
 
     Newton works on the stacked residual r = k_p - F(state_p, t_p), always
     evaluated at the working precision, and stops at max|r| <= stage_tol *
@@ -130,8 +132,9 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
         t_p = [t_n + tab.basis.tau[p] * dt for p in range(s)]
 
         def states(k):
-            return [[u_n[i] + dt * mp.fsum(tab.a[p][q] * k[q][i] for q in range(s))
-                     for i in range(d)] for p in range(s)]
+            cols = [[row[i] for row in k] for i in range(d)]
+            return [[u_n[i] + dt * mp.fdot(a_p, cols[i]) for i in range(d)]
+                    for a_p in tab.a]
 
         def factor(jacs, dps):
             try:
@@ -153,7 +156,7 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
             r = [k[p][i] - f[p][i] for p in range(s) for i in range(d)]
             rn = max(abs(x) for x in r)
             if rn <= tol:
-                return [tuple(row) for row in k]
+                return tuple(map(tuple, k)), tuple(map(tuple, q))
             if not picard and it > 0 and (rn > prev / 2 or it % 5 == 0):
                 dps = full if rn > prev / 2 else min(
                     full, FACTOR_GUARD + max(0, -int(mp.log10(rn))))
@@ -170,26 +173,12 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
             f"iterations (residual {mp.nstr(rn, 5)})")
 
 
-def stages_to_qhat(tab, u_n, k, dt):
-    """Predictor coefficients qhat_p = u_n + dt sum_q a_pq k_q."""
-    s = tab.stages
-    d = len(u_n)
-    with mp.workdps(tab.basis.work_dps):
-        return tuple(
-            tuple(u_n[i] + dt * mp.fsum(tab.a[p][q] * k[q][i] for q in range(s))
-                  for i in range(d))
-            for p in range(s))
-
-
 def step(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
     """One integration step; returns the interval's LocalSolution."""
-    k = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard, newton)
+    k, qhat = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard, newton)
     with ctx.workdps(10):
-        u_next = tuple(
-            u_n[i] + dt * mp.fsum(tab.basis.w[p] * k[p][i]
-                                  for p in range(tab.stages))
-            for i in range(problem.dim))
-    qhat = stages_to_qhat(tab, u_n, k, dt)
+        u_next = tuple(u_n[i] + dt * mp.fdot(tab.basis.w, [row[i] for row in k])
+                       for i in range(problem.dim))
     return LocalSolution(t_n=t_n, dt_n=dt, qhat=qhat, u_next=u_next)
 
 
@@ -213,7 +202,7 @@ def eval_local(local, basis, t):
 def combine_basis(vals, qhat):
     """Predictor value sum_p vals[p] qhat[p] from basis values at one point,
     per component, at the caller's precision."""
-    return tuple(mp.fsum(v * row[i] for v, row in zip(vals, qhat))
+    return tuple(mp.fdot(vals, [row[i] for row in qhat])
                  for i in range(len(qhat[0])))
 
 
@@ -222,7 +211,7 @@ def trajectory_eval(traj, t):
     to the left interval (where the local solution matches the node value)."""
     times = traj.times
     if t < times[0] or t > times[-1]:
-        raise SolverError(f"t outside trajectory domain")
+        raise SolverError(f"t={mp.nstr(mp.mpf(t), 10)} outside trajectory domain")
     n = bisect.bisect_left(times, t) - 1
     n = min(max(n, 0), len(traj.locals) - 1)
     return eval_local(traj.locals[n], traj.tableau.basis, t)

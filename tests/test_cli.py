@@ -189,8 +189,8 @@ def test_solve_solver_failure_exit():
 
 @pytest.mark.xfail(strict=True, reason=(
     "node values are accurate in absolute terms only: the update u_n + dt "
-    "sum_p w_p k_p cancels log10|lam dt| digits, so node 3 prints 4.5e-115 "
-    "for R^3 = 1.7e-132 and node 4 -2.55e-141 for R^4 = 2.1e-176"))
+    "sum_p w_p k_p cancels log10|lam dt| digits, so nodes 3 and 4 print "
+    "rounding noise in place of R^3 = 1.7e-132 and R^4 = 2.1e-176"))
 def test_stiff_solve_prints_node_signs_and_magnitudes(capsys):
     # node i of dahlquist(lam) on 4 intervals is R(lam/4)^i
     assert run("solve", "dahlquist:-1e45", "--n", "2", "--m", "4",

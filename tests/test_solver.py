@@ -8,7 +8,7 @@ from aderdg.arith import make_context
 from aderdg.problems import dahlquist, harmonic_oscillator, pendulum
 from aderdg.solver import (OdeProblem, SolverError, StageSolveError,
                            eval_local, integrate, solve_stages, stage_tol,
-                           step, stages_to_qhat, trajectory_eval)
+                           step, trajectory_eval)
 from aderdg.tableau import build_tableau, stability_function
 
 CTX = make_context(60)
@@ -86,9 +86,8 @@ def test_picard_step_factors_no_matrix(monkeypatch):
     entry = harmonic_oscillator()
     with CTX.workdps():
         dt = mp.mpf(1) / 10
-        k = solve_stages(TAB2, entry.problem, entry.problem.u0,
-                         entry.problem.t0, dt, CTX, picard=True)
-        qhat = stages_to_qhat(TAB2, entry.problem.u0, k, dt)
+        k, qhat = solve_stages(TAB2, entry.problem, entry.problem.u0,
+                               entry.problem.t0, dt, CTX, picard=True)
         for p in range(TAB2.stages):
             t_p = entry.problem.t0 + TAB2.basis.tau[p] * dt
             f = entry.problem.rhs(qhat[p], t_p)
@@ -146,6 +145,15 @@ def test_trajectory_eval_left_interval_at_nodes():
             trajectory_eval(traj, traj.times[-1] + 1)
 
 
+def test_trajectory_eval_outside_domain_names_t():
+    entry = dahlquist(-1)
+    traj = integrate(TAB2, entry.problem, 2, CTX)
+    with CTX.workdps():
+        with pytest.raises(SolverError,
+                           match=r"^t=2\.5 outside trajectory domain$"):
+            trajectory_eval(traj, mp.mpf("2.5"))
+
+
 def test_bad_grids_rejected():
     entry = harmonic_oscillator()
     with pytest.raises(SolverError):
@@ -159,18 +167,26 @@ def test_problem_rejects_empty_interval():
 
 
 def test_stage_solution_consistency():
-    # qhat rows reproduce the defining algebraic system
+    # qhat rows are the stage states of k and reproduce the defining
+    # algebraic system; step stores that qhat
     entry = pendulum()
+    u0 = entry.problem.u0
     with CTX.workdps():
         dt = mp.mpf(1) / 4
-        k = solve_stages(TAB2, entry.problem, entry.problem.u0,
-                         entry.problem.t0, dt, CTX)
-        qhat = stages_to_qhat(TAB2, entry.problem.u0, k, dt)
+        k, qhat = solve_stages(TAB2, entry.problem, u0, entry.problem.t0,
+                               dt, CTX)
         tol = 10 * stage_tol(CTX)
         for p in range(TAB2.stages):
             t_p = entry.problem.t0 + TAB2.basis.tau[p] * dt
             f = entry.problem.rhs(qhat[p], t_p)
             assert max(abs(k[p][i] - f[i]) for i in range(2)) <= tol
+            state = [u0[i] + dt * mp.fsum(TAB2.a[p][q] * k[q][i]
+                                          for q in range(TAB2.stages))
+                     for i in range(2)]
+            assert max(abs(a - b) for a, b in zip(qhat[p], state)) \
+                <= CTX.identity_tol
+        assert step(TAB2, entry.problem, u0, entry.problem.t0, dt,
+                    CTX).qhat == qhat
 
 
 def _count_lu(monkeypatch):
@@ -230,10 +246,10 @@ def test_carried_matrix_sets_only_the_rate():
     problem = pendulum().problem
     with CTX.workdps():
         dt = mp.mpf(1) / 4
-        fresh = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        fresh, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
         newton = [_factored_for(TAB2, problem, 10 * dt)]
-        k = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX,
-                         newton=newton)
+        k, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX,
+                            newton=newton)
         assert max(abs(a - b) for ka, kb in zip(k, fresh)
                    for a, b in zip(ka, kb)) <= 10 * stage_tol(CTX)
 
@@ -267,7 +283,7 @@ def test_singular_rounded_refresh_is_refactored(monkeypatch):
     problem = pendulum().problem
     with CTX.workdps():
         dt = mp.mpf(1) / 4
-        fresh = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        fresh, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
         lu_factor, dps = linalg.lu_factor, []
 
         def factor(a):
@@ -277,7 +293,7 @@ def test_singular_rounded_refresh_is_refactored(monkeypatch):
             return lu_factor(a)
 
         monkeypatch.setattr(linalg, "lu_factor", factor)
-        k = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        k, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
         assert min(dps) < CTX.decimal_digits and dps[-1] > CTX.decimal_digits
         assert max(abs(a - b) for ka, kb in zip(k, fresh)
                    for a, b in zip(ka, kb)) <= 10 * stage_tol(CTX)
