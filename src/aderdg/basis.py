@@ -55,41 +55,37 @@ def require_conditioning(n, ctx):
             f"need at least {math.ceil(need)}")
 
 
-def shifted_legendre(n_poly, tau):
-    """Value and derivative of the shifted Legendre polynomial on [0, 1].
+def shifted_legendre(n, tau):
+    """(P~_n, P~_n', P~_{n-1}, P~_{n-1}') for the shifted Legendre
+    polynomials on [0, 1], with P~_{-1} = 0, at the ambient precision.
 
-    Three-term recurrence in x = 2*tau - 1, at the ambient precision.
+    One three-term recurrence in x = 2*tau - 1 gives both values; the
+    derivatives follow from (x^2 - 1) P_n' = n (x P_n - P_{n-1}) and
+    (x^2 - 1) P_{n-1}' = n (P_n - x P_{n-1}) (Abramowitz & Stegun 22.8.5),
+    with x^2 - 1 = 4 tau (tau - 1).  At tau = 0 and 1, where they divide
+    by zero, the exact end values P~_k = x^k, P~_k' = x^(k+1) k (k+1) hold.
     """
-    x = 2 * mp.mpf(tau) - 1
-    p_prev, p = mp.mpf(1), x
-    d_prev, d = mp.mpf(0), mp.mpf(2)
-    if n_poly == 0:
-        return p_prev, d_prev
-    for k in range(1, n_poly):
-        p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        d_next = ((2 * k + 1) * (2 * p + x * d) - k * d_prev) / (k + 1)
-        p_prev, p = p, p_next
-        d_prev, d = d, d_next
-    return p, d
+    t = mp.mpf(tau)
+    x = 2 * t - 1
+    p_prev, p = (mp.mpf(1), x) if n else (mp.mpf(0), mp.mpf(1))
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    den = 2 * t * (t - 1)
+    if den == 0:
+        return p, x * p * n * (n + 1), p_prev, p * (n - 1) * n
+    c = n / den
+    return p, c * (x * p - p_prev), p_prev, c * (p - x * p_prev)
 
 
 def _family_poly(n1, family):
-    """Evaluator for the node-defining polynomial of a family (value, deriv)."""
-    if family == "gauss-legendre":
-        def f(tau):
-            return shifted_legendre(n1, tau)
-    elif family == "radau-right":
-        def f(tau):
-            v1, d1 = shifted_legendre(n1, tau)
-            v0, d0 = shifted_legendre(n1 - 1, tau)
-            return v1 - v0, d1 - d0
-    elif family == "radau-left":
-        def f(tau):
-            v1, d1 = shifted_legendre(n1, tau)
-            v0, d0 = shifted_legendre(n1 - 1, tau)
-            return v1 + v0, d1 + d0
-    else:
-        raise BasisError(f"unknown node family: {family!r}")
+    """Evaluator tau -> (value, derivative) of the node-defining polynomial
+    of a family: P~_{N+1} (gauss-legendre) or P~_{N+1} -+ P~_N
+    (radau-right / radau-left), both from one shifted_legendre pass."""
+    sign = {"gauss-legendre": 0, "radau-right": -1, "radau-left": 1}[family]
+
+    def f(tau):
+        v1, d1, v0, d0 = shifted_legendre(n1, tau)
+        return (v1 + sign * v0, d1 + sign * d0) if sign else (v1, d1)
     return f
 
 
@@ -186,8 +182,10 @@ def _lagrange_values(tau, lam, t):
 
 
 def _check_moments(tau, w, top, ctx):
-    dev = max(abs(mp.fsum(wp * tp ** r for wp, tp in zip(w, tau))
-                  - mp.mpf(1) / (r + 1)) for r in range(top + 1))
+    col, dev = [mp.mpf(1)] * len(tau), mp.mpf(0)
+    for r in range(top + 1):
+        dev = max(dev, abs(mp.fdot(w, col) - mp.mpf(1) / (r + 1)))
+        col = [c * t for c, t in zip(col, tau)]
     if dev > ctx.identity_tol:
         raise BasisError(
             f"quadrature misses a moment of degree <= {top} "

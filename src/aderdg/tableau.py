@@ -130,30 +130,32 @@ def verify_lemma21(tab, ctx):
 
 
 def check_simplifying(tab, which, order, ctx):
-    """Max residual of simplifying condition B/C/D over 0 <= r < order."""
+    """Max residual of simplifying condition B/C/D over 0 <= r < order:
+    B sum_q w_q tau_q^r = 1/(r+1), C sum_q a_pq tau_q^r = tau_p^(r+1)/(r+1),
+    D sum_q w_q a_qp tau_q^r = w_p (1 - tau_p^(r+1))/(r+1), for every p.
+
+    The powers tau_q^r and the D weights w_q a_qp are formed once per call,
+    and each sum is one mp.fdot: exact products, rounded once."""
     b = tab.basis
     n1 = tab.stages
     if order < 1:
         raise TableauError("condition order must be >= 1")
+    if which not in ("B", "C", "D"):
+        raise TableauError(f"unknown simplifying condition {which!r}")
     with mp.workdps(b.work_dps):
-        res = mp.mpf(0)
-        for r in range(order):
-            if which == "B":
-                lhs = mp.fsum(b.w[q] * b.tau[q] ** r for q in range(n1))
-                res = max(res, abs(lhs - mp.mpf(1) / (r + 1)))
-            elif which == "C":
-                for p in range(n1):
-                    lhs = mp.fsum(tab.a[p][q] * b.tau[q] ** r for q in range(n1))
-                    res = max(res, abs(lhs - b.tau[p] ** (r + 1) / (r + 1)))
-            elif which == "D":
-                for p in range(n1):
-                    lhs = mp.fsum(b.w[q] * tab.a[q][p] * b.tau[q] ** r
-                                  for q in range(n1))
-                    rhs = b.w[p] / (r + 1) * (1 - b.tau[p] ** (r + 1))
-                    res = max(res, abs(lhs - rhs))
-            else:
-                raise TableauError(f"unknown simplifying condition {which!r}")
-        return res
+        pw = [[mp.mpf(1)] * n1]     # pw[r][q] = tau_q^r
+        for _ in range(order):
+            pw.append([c * t for c, t in zip(pw[-1], b.tau)])
+        if which == "B":
+            return max(abs(mp.fdot(b.w, pw[r]) - mp.mpf(1) / (r + 1))
+                       for r in range(order))
+        if which == "C":
+            return max(abs(mp.fdot(tab.a[p], pw[r]) - pw[r + 1][p] / (r + 1))
+                       for r in range(order) for p in range(n1))
+        wa = [[b.w[q] * tab.a[q][p] for q in range(n1)] for p in range(n1)]
+        return max(abs(mp.fdot(wa[p], pw[r])
+                       - b.w[p] / (r + 1) * (1 - pw[r + 1][p]))
+                   for r in range(order) for p in range(n1))
 
 
 def build_q_m(tab, ctx):

@@ -16,12 +16,65 @@ def test_shifted_legendre_low_degrees():
     # P~_1 = 2t - 1, P~_2 = 6t^2 - 6t + 1 on [0, 1]
     with CTX.workdps():
         t = mp.mpf(3) / 7
-        v1, d1 = shifted_legendre(1, t)
+        v1, d1, v0, d0 = shifted_legendre(1, t)
         assert abs(v1 - (2 * t - 1)) < CTX.identity_tol
         assert abs(d1 - 2) < CTX.identity_tol
-        v2, d2 = shifted_legendre(2, t)
+        assert v0 == 1 and abs(d0) < CTX.identity_tol
+        v2, d2, v1, d1 = shifted_legendre(2, t)
         assert abs(v2 - (6 * t ** 2 - 6 * t + 1)) < CTX.identity_tol
         assert abs(d2 - (12 * t - 6)) < CTX.identity_tol
+        assert abs(v1 - (2 * t - 1)) < CTX.identity_tol
+        assert abs(d1 - 2) < CTX.identity_tol
+
+
+def _legendre_reference(k, t):
+    # P~_k(t) = P_k(2t - 1) from mpmath, derivative by numerical
+    # differentiation of that value
+    return (mp.legendre(k, 2 * t - 1),
+            mp.diff(lambda s: mp.legendre(k, 2 * s - 1), t))
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_shifted_legendre_matches_mpmath(n):
+    # both degrees of one pass, and the three family polynomials built from
+    # it, inside (0, 1) and exactly at 0, 1/2 and 1; at 0 and 1 the
+    # derivative identity divides by zero and the exact end values
+    # P~_k(1) = 1, P~_k'(1) = k(k+1) and their mirror images take over
+    with CTX.workdps():
+        tol = CTX.identity_tol
+        for t in (mp.mpf(0), mp.mpf(1) / 2, mp.mpf(1), mp.mpf(1) / 7,
+                  mp.mpf(3) / 10, mp.mpf(9) / 10, mp.mpf(999) / 1000):
+            got = shifted_legendre(n, t)
+            (v1, d1), (v0, d0) = (_legendre_reference(n, t),
+                                  _legendre_reference(n - 1, t))
+            for x, want in zip(got, (v1, d1, v0, d0)):
+                assert abs(x - want) <= tol * max(1, abs(want))
+            for family, sign in (("gauss-legendre", 0), ("radau-right", -1),
+                                 ("radau-left", 1)):
+                v, d = basis._family_poly(n, family)(t)
+                assert abs(v - (v1 + sign * v0)) <= tol
+                assert abs(d - (d1 + sign * d0)) <= tol * max(1, abs(d1))
+        for t, x in ((mp.mpf(0), -1), (mp.mpf(1), 1)):
+            assert shifted_legendre(n, t) == (
+                x ** n, x ** (n + 1) * n * (n + 1),
+                x ** (n - 1), x ** n * (n - 1) * n)
+
+
+@pytest.mark.parametrize("n, family, calls", [
+    (12, "gauss-legendre", 135), (6, "radau-right", 70)])
+def test_node_solve_evaluation_count(monkeypatch, n, family, calls):
+    # one shifted_legendre pass per Newton evaluation of the family
+    # polynomial (radau-right made 140 when P~_N took a second pass); a
+    # change that doubles the root finder's work breaks the pin
+    seen = []
+
+    def counted(k, t):
+        seen.append(k)
+        return shifted_legendre(k, t)
+
+    monkeypatch.setattr(basis, "shifted_legendre", counted)
+    compute_nodes(n, family, make_context(500))
+    assert len(seen) == calls and set(seen) == {n + 1}
 
 
 def test_nodes_n1_closed_form():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -112,17 +113,50 @@ def test_row_sums_of_a_are_nodes():
 def test_simplifying_conditions():
     for n in (1, 3, 6):
         tab = _tab(n)
-        assert check_simplifying(tab, "B", 2 * n + 2, CTX) <= CTX.identity_tol
-        assert check_simplifying(tab, "C", n, CTX) <= CTX.identity_tol
-        assert check_simplifying(tab, "D", n, CTX) <= CTX.identity_tol
-        # the next stage order is genuinely not reached
-        assert check_simplifying(tab, "C", n + 1, CTX) > 10 ** 6 * CTX.unit_roundoff
+        for which, order in (("B", 2 * n + 2), ("C", n), ("D", n)):
+            assert check_simplifying(tab, which, order, CTX) <= CTX.identity_tol
+            # the next order is genuinely not reached, so the top power
+            # r = order - 1 of each check counts
+            assert (check_simplifying(tab, which, order + 1, CTX)
+                    > 10 ** 6 * CTX.unit_roundoff)
 
 
 def test_radau_right_reaches_next_stage_order():
     for n in (1, 3):
         tab = _tab(n, "radau-right")
         assert check_simplifying(tab, "C", n + 1, CTX) <= CTX.identity_tol
+
+
+def _nudged(tab, w_at=None, a_at=None):
+    # tab with one entry of w or of a raised by 1e-30
+    b, a = tab.basis, [list(row) for row in tab.a]
+    with mp.workdps(b.work_dps):
+        if w_at is not None:
+            w = list(b.w)
+            w[w_at] += mp.mpf(10) ** -30
+            b = replace(b, w=tuple(w))
+        if a_at is not None:
+            a[a_at[0]][a_at[1]] += mp.mpf(10) ** -30
+    return replace(tab, basis=b, a=tuple(tuple(row) for row in a))
+
+
+@pytest.mark.parametrize("family", ["gauss-legendre", "radau-left"])
+@pytest.mark.parametrize("n", [3, 6])
+def test_simplifying_checks_see_every_entry(n, family):
+    # a 1e-30 error in any one entry of w or a breaks each condition whose
+    # sums it enters, so no stage row, column or power may be skipped;
+    # radau-left's node tau_0 = 0 enters only the power r = 0
+    tab = _tab(n, family)
+    tol = CTX.identity_tol
+    b_order = 2 * n + 2 if family == "gauss-legendre" else 2 * n + 1
+    for i in range(n + 1):
+        nudged = _nudged(tab, w_at=i)
+        assert check_simplifying(nudged, "B", b_order, CTX) > tol
+        assert check_simplifying(nudged, "D", n, CTX) > tol
+        for j in range(n + 1):
+            nudged = _nudged(tab, a_at=(i, j))
+            assert check_simplifying(nudged, "C", n, CTX) > tol
+            assert check_simplifying(nudged, "D", n, CTX) > tol
 
 
 def test_simplifying_rejects_bad_input():
