@@ -328,14 +328,13 @@ def convergence_study(entry, n_values, m_values, ctx):
 
 
 def interface_identity_residual(traj, ctx):
-    """Max over intervals of |local solution at the interval end - u_{n+1}|."""
+    """Max over intervals of |local solution at the interval end - u_{n+1}|,
+    the end value sum_p psi~_p qhat_p formed from the stored l_p(1)."""
+    psi_tilde = traj.tableau.basis.psi_tilde
     with ctx.workdps(10):
-        res = mp.mpf(0)
-        for i, loc in enumerate(traj.locals):
-            v = eval_local(loc, traj.tableau.basis, loc.t_n + loc.dt_n)
-            res = max(res, max(abs(a - b)
-                               for a, b in zip(v, traj.values[i + 1])))
-        return res
+        return max(max(abs(a - b) for a, b in
+                       zip(combine_basis(psi_tilde, loc.qhat), u_next))
+                   for loc, u_next in zip(traj.locals, traj.values[1:]))
 
 
 def format_order_table(table, fmt="table"):

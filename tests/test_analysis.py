@@ -9,7 +9,7 @@ from aderdg.analysis import (AnalysisError, SweepError, ZeroErrorFloor,
                              ERROR_FIELDS, ERROR_GUARD, ORDER_COLUMNS,
                              SUP_SAMPLES)
 from aderdg.arith import make_context
-from aderdg.problems import harmonic_oscillator, polynomial_rhs
+from aderdg.problems import harmonic_oscillator, pendulum, polynomial_rhs
 from aderdg.solver import eval_local, integrate, stage_tol, trajectory_eval
 from aderdg.tableau import build_tableau
 
@@ -104,6 +104,32 @@ def test_interface_residual_small():
     res = interface_identity_residual(traj, CTX)
     with CTX.workdps():
         assert res <= 10 * stage_tol(CTX)
+
+
+@pytest.mark.parametrize("family", ["gauss-legendre", "radau-left",
+                                    "radau-right"])
+def test_interface_residual_is_the_end_value_gap(family):
+    # the residual is max_n |sum_p psi~_p qhat_p - u_{n+1}| with the stored
+    # traces psi~_p = l_p(1); for radau-right psi~ is the last unit vector
+    # and the last stage row of a equals w past the working digits, so
+    # qhat_N and u_{n+1} round alike and the gap is exactly 0
+    tab = build_tableau(3, family, CTX)
+    traj = integrate(tab, pendulum().problem, 4, CTX)
+    res = interface_identity_residual(traj, CTX)
+    with CTX.workdps(10):
+        psi = tab.basis.psi_tilde
+        gap = max(abs(mp.fdot(psi, [row[i] for row in loc.qhat]) - u[i])
+                  for loc, u in zip(traj.locals, traj.values[1:])
+                  for i in range(2))
+        assert res == gap
+        assert res <= 10 * stage_tol(CTX)
+        if family == "radau-right":
+            assert res == 0
+        # the predictor's value at the interval end, as dense output gives it
+        dense = max(abs(a - b) for loc, u in zip(traj.locals, traj.values[1:])
+                    for a, b in zip(eval_local(loc, tab.basis,
+                                               loc.t_n + loc.dt_n), u))
+        assert abs(dense - res) <= CTX.unit_roundoff * 1e-8
 
 
 def test_convergence_study_orders():

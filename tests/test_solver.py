@@ -209,12 +209,15 @@ def _count_lu(monkeypatch):
 
 
 @pytest.mark.parametrize("entry, m", [(dahlquist(-10 ** 4), 16),
-                                      (harmonic_oscillator(), 8)],
-                         ids=["dahlquist", "harmonic"])
+                                      (harmonic_oscillator(), 8),
+                                      (dahlquist(-10 ** 8), 8)],
+                         ids=["dahlquist", "harmonic", "dahlquist-1e8"])
 def test_linear_problem_factors_once_per_integrate(monkeypatch, entry, m):
     # the Newton factorization is carried from step to step, so a linear
     # constant-coefficient problem factors once and takes one iteration
-    # per step
+    # per step.  (With m = 16, lam = -1e8 takes u_n below the absolute
+    # 1e-40 of the tolerance scale, and later steps converge with no
+    # iteration at all.)
     calls = _count_lu(monkeypatch)
     integrate(TAB2, entry.problem, m, CTX)
     assert (len(calls["factor_dps"]), calls["solves"]) == (1, m)
@@ -297,3 +300,119 @@ def test_singular_rounded_refresh_is_refactored(monkeypatch):
         assert min(dps) < CTX.decimal_digits and dps[-1] > CTX.decimal_digits
         assert max(abs(a - b) for ka, kb in zip(k, fresh)
                    for a, b in zip(ka, kb)) <= 10 * stage_tol(CTX)
+
+
+def _record_digits(monkeypatch, problem):
+    """The problem with an rhs that records mp.mp.dps at each call, and the
+    list of per-step call records it fills."""
+    steps = [[]]
+    rhs, solve = problem.rhs, solver.solve_stages
+
+    def recording(u, t):
+        steps[-1].append(mp.mp.dps)
+        return rhs(u, t)
+
+    def solve_and_mark(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        steps.append([])
+        return out
+
+    monkeypatch.setattr(solver, "solve_stages", solve_and_mark)
+    return dataclasses.replace(problem, rhs=recording), steps
+
+
+@pytest.mark.parametrize("digits, n, m, picard", [(200, 8, 16, False),
+                                                  (60, 4, 32, True)],
+                         ids=["newton", "picard"])
+def test_precision_schedule(monkeypatch, digits, n, m, picard):
+    # step 0 runs at the working digits; every later step evaluates its
+    # first residual below them, from the decade the last step's first
+    # correction reached, and ends on a residual evaluated at them.  The
+    # first s calls of a step are F(u_n, t_p) for the tolerance scale
+    ctx = make_context(digits)
+    tab = build_tableau(n, "gauss-legendre", ctx)
+    problem, steps = _record_digits(monkeypatch, pendulum().problem)
+    integrate(tab, problem, m, ctx, picard=picard)
+    full, s = ctx.decimal_digits + 10, tab.stages
+    steps = steps[:-1]
+    assert len(steps) == m
+    assert set(steps[0]) == {full}
+    for calls in steps[1:]:
+        assert calls[:s] == [full] * s
+        assert calls[s] < full and calls[2 * s] < full
+        assert calls[-s:] == [full] * s
+
+
+def test_floor_recheck_is_not_a_stall(monkeypatch):
+    # a start guess far better than its carried decade leaves the first
+    # residual at the rounding floor of the reduced digits; it is evaluated
+    # again at the working digits, where it meets the tolerance, instead of
+    # feeding a correction made of rounding noise and then a stall refresh
+    ctx = make_context(120)
+    tab = build_tableau(4, "gauss-legendre", ctx)
+    problem = pendulum().problem
+    with ctx.workdps():
+        dt = mp.mpf(1) / 4
+        newton = [None]
+        k, _ = solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx,
+                            newton=newton)
+        calls = _count_lu(monkeypatch)
+        again, _ = solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx,
+                                newton=[newton[0], 0, k])
+        assert (calls["factor_dps"], calls["solves"]) == ([], 0)
+        assert again == tuple(map(tuple, k))
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "past bound"])
+def test_wild_start_guess_falls_back(bad):
+    # a start guess that is not finite, or exceeds the tolerance scale
+    # (here 1) START_BOUND times, is replaced by k_p = F(u_n, t_p), and the
+    # step repeats the one started with no guess
+    problem = pendulum().problem
+    with CTX.workdps():
+        dt = mp.mpf(1) / 4
+        x = 2 * solver.START_BOUND if bad == "past bound" else mp.mpf(bad)
+        guess = [[x, x]] * TAB2.stages
+        plain = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        assert solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX,
+                            newton=[None, None, guess]) == plain
+
+
+def test_one_correction_carries_the_working_digits():
+    # a step whose first correction meets the tolerance carries the working
+    # digits as its decade, so the next step starts at them
+    entry = dahlquist(-10 ** 4)
+    with CTX.workdps():
+        newton = [None, CTX.decimal_digits - 20, None]
+        solve_stages(TAB2, entry.problem, entry.problem.u0, entry.problem.t0,
+                     mp.mpf(1) / 16, CTX, newton=newton)
+    assert newton[1] == CTX.decimal_digits + 10
+
+
+def test_pendulum_newton_counts(monkeypatch):
+    # the benchmark's pendulum solve: 219 Newton iterations and 33
+    # factorizations at the working digits from k = F(u_n); the precision
+    # schedule, whose refreshes raise the predicted gain, and the extended
+    # start take fewer iterations and no more factorizations
+    ctx = make_context(500)
+    tab = build_tableau(8, "gauss-legendre", ctx)
+    calls = _count_lu(monkeypatch)
+    integrate(tab, pendulum().problem, 16, ctx)
+    assert (calls["solves"], len(calls["factor_dps"])) == (208, 33)
+
+
+def test_picard_rhs_calls():
+    # the benchmark's Picard solve: 12,465 calls from k = F(u_n) at the
+    # working digits, fewer from the start extended from the last interval
+    ctx = make_context(60)
+    tab = build_tableau(8, "gauss-legendre", ctx)
+    problem = pendulum().problem
+    count = [0]
+
+    def counting(u, t):
+        count[0] += 1
+        return problem.rhs(u, t)
+
+    integrate(tab, dataclasses.replace(problem, rhs=counting), 64, ctx,
+              picard=True)
+    assert count[0] == 10035
