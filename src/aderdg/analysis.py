@@ -296,13 +296,8 @@ def convergence_study(entry, n_values, m_values, ctx):
         raise SweepError("order fit needs at least 3 interval counts")
     if len(set(n_values)) != len(n_values):
         raise SweepError("degrees must be distinct")
-    if entry.problem.exact is not None:
-        reference = entry.problem.exact
-    elif entry.reference_kind == "high-order-oracle":
-        reference = build_oracle_reference(
-            entry, max(n_values), max(m_values), ctx)
-    else:
-        raise AnalysisError(f"problem {entry.name!r} has no reference")
+    reference = entry.problem.exact or build_oracle_reference(
+        entry, max(n_values), max(m_values), ctx)
 
     reports = {}
     trajectories = {}

@@ -114,9 +114,8 @@ def build_parser():
     p.add_argument("--dense", type=int, default=0, metavar="K",
                    help="also print K interior samples per interval")
     p.add_argument("--jacobian", default="auto", choices=("auto", "picard"),
-                   help="auto: Newton with the analytic Jacobian if the "
-                        "problem has one, else finite differences; picard: "
-                        "fixed-point iteration, no Jacobian")
+                   help="auto: Newton with the problem's analytic "
+                        "Jacobian; picard: fixed-point iteration, no Jacobian")
     common(p)
 
     p = sub.add_parser("converge", help="run an (N, M) convergence sweep")
@@ -360,14 +359,10 @@ def main(argv=None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
         return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithError, ProblemError, SweepError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BasisError as exc:
-        # conditioning refusals and root failures are configuration issues
+    except (UsageError, ArithError, ProblemError, SweepError, OSError,
+            BasisError) as exc:
+        # a basis's conditioning refusals and root failures are
+        # configuration issues too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TableauError as exc:

@@ -31,7 +31,6 @@ ORACLE_TOL_EXP = -40
 class ProblemCatalogEntry:
     name: str
     problem: OdeProblem
-    reference_kind: str          # exact-closed-form | high-order-oracle
     invariant: Optional[Callable] = None   # conserved quantity (u, t) -> real
 
 
@@ -48,8 +47,7 @@ def harmonic_oscillator():
             jacobian=lambda u, t: ((mp.mpf(0), mp.mpf(1)), (mp.mpf(-1), mp.mpf(0))),
             exact=exact,
             t0=mp.mpf(0), tf=4 * mp.pi, u0=(mp.mpf(1), mp.mpf(0)))
-    return ProblemCatalogEntry(
-        name="harmonic", problem=problem, reference_kind="exact-closed-form")
+    return ProblemCatalogEntry(name="harmonic", problem=problem)
 
 
 def pendulum():
@@ -61,7 +59,7 @@ def pendulum():
             jacobian=lambda u, t: ((mp.mpf(0), mp.mpf(1)), (-mp.cos(u[0]), mp.mpf(0))),
             t0=mp.mpf(0), tf=mp.mpf(10), u0=(mp.pi / 2, mp.mpf(0)))
     return ProblemCatalogEntry(
-        name="pendulum", problem=problem, reference_kind="high-order-oracle",
+        name="pendulum", problem=problem,
         invariant=lambda u, t: u[1] ** 2 / 2 - mp.cos(u[0]))
 
 
@@ -77,9 +75,7 @@ def dahlquist(lam):
         jacobian=lambda u, t: ((lam,),),
         exact=lambda t: (mp.exp(lam * t),),
         t0=mp.mpf(0), tf=mp.mpf(1), u0=(mp.mpf(1),))
-    return ProblemCatalogEntry(
-        name=f"dahlquist:{lam}", problem=problem,
-        reference_kind="exact-closed-form")
+    return ProblemCatalogEntry(name=f"dahlquist:{lam}", problem=problem)
 
 
 def polynomial_problem(coeffs, u0=mp.mpf(0)):
@@ -116,9 +112,7 @@ def polynomial_rhs(degree, seed):
     coeffs = [rng.choice((-1, 1)) * (mp.mpf(1) / 4 + rng.random())
               for _ in range(degree + 1)]
     problem = polynomial_problem(coeffs, u0=mp.mpf(1))
-    return ProblemCatalogEntry(
-        name=f"poly:{degree}:{seed}", problem=problem,
-        reference_kind="exact-closed-form")
+    return ProblemCatalogEntry(name=f"poly:{degree}:{seed}", problem=problem)
 
 
 def catalog_lookup(spec):

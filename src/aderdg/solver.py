@@ -36,11 +36,11 @@ class StageSolveError(SolverError):
 class OdeProblem:
     dim: int
     rhs: Callable                      # (u, t) -> vector
+    jacobian: Callable                 # (u, t) -> matrix
     t0: mp.mpf
     tf: mp.mpf
     u0: tuple
-    jacobian: Optional[Callable] = None   # (u, t) -> matrix
-    exact: Optional[Callable] = None      # t -> vector
+    exact: Optional[Callable] = None   # t -> vector
 
     def __post_init__(self):
         if not self.t0 < self.tf:
@@ -69,25 +69,12 @@ def stage_tol(ctx):
     return mp.mpf(10) ** (-ctx.decimal_digits + 20)
 
 
-def _fd_jacobian(problem, u, t, h):
-    d = problem.dim
-    cols = []
-    for j in range(d):
-        hj = h * (1 + abs(u[j]))
-        up = list(u); up[j] += hj
-        um = list(u); um[j] -= hj
-        fp = problem.rhs(up, t)
-        fm = problem.rhs(um, t)
-        cols.append([(fp[i] - fm[i]) / (2 * hj) for i in range(d)])
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _stage_jacobian(problem, ctx, u, t):
-    # analytic when the problem has one, central differences otherwise
-    if problem.jacobian is not None:
-        return [list(r) for r in problem.jacobian(u, t)]
-    h = mp.mpf(10) ** (-(ctx.decimal_digits // 3))
-    return _fd_jacobian(problem, u, t, h)
+@dataclass
+class StageCarry:
+    """Stage-iteration state that integrate carries from step to step."""
+    lu: Optional[tuple] = None      # LU factorization of the Newton matrix
+    decade: Optional[int] = None    # reached by the last step's first correction
+    start: Optional[list] = None    # start guess for the stage derivatives k
 
 
 def _newton_matrix(tab, jacs, dt):
@@ -106,7 +93,7 @@ def _newton_matrix(tab, jacs, dt):
     return mat
 
 
-def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
+def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
     """Stage derivatives k of one step, solved to the stage tolerance, and
     the predictor coefficients qhat_p = u_n + dt sum_q a_pq k_q: the stage
     states at which the converged residual was evaluated.  Returns (k, qhat).
@@ -129,26 +116,26 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
     short, is evaluated again at the working precision (the floor
     re-check), so a precision-limited iteration never counts as a stall.
 
-    The optional list `newton` carries state from step to step: the LU
-    factorization of the Newton matrix, the decade the first correction of
-    the last step reached (the working precision when it converged), and
-    the start guess for k.  A step with no carried decade runs at the
-    working precision throughout, and one with no start guess, or a guess
-    that is not finite or exceeds the tolerance scale START_BOUND times,
-    starts from k_p = F(u_n, t_p).  With no factorization the matrix is
-    built from the Jacobian at (u_n, t_n).  Every 5 iterations it is
-    rebuilt from per-stage Jacobians at the current states and factored at
-    the digits they carry, FACTOR_GUARD + the residual's decade; a refresh
-    forced by a stalled contraction, or whose rounded matrix is singular,
-    is factored at the working precision.  Picard is the same iteration
-    with the Jacobian taken as zero: the Newton matrix is I, k - r =
-    F(states(k)) and no matrix is factored (Hairer & Wanner, Solving ODEs
-    II, section IV.8).
+    The StageCarry `carry` (a fresh one when None) holds the state that
+    goes from step to step, and is updated in place: `lu`, the LU
+    factorization of the Newton matrix; `decade`, the decade the first
+    correction of the last step reached (the working precision when it
+    converged); and `start`, the start guess for k.  A step with no
+    `decade` runs at the working precision throughout, and one with no
+    `start`, or one that is not finite or exceeds the tolerance scale
+    START_BOUND times, starts from k_p = F(u_n, t_p).  With no `lu` the
+    matrix is built from the Jacobian at (u_n, t_n).  Every 5 iterations
+    it is rebuilt from per-stage Jacobians at the current states and
+    factored at the digits they carry, FACTOR_GUARD + the residual's
+    decade; a refresh forced by a stalled contraction, or whose rounded
+    matrix is singular, is factored at the working precision.  Picard is
+    the same iteration with the Jacobian taken as zero: the Newton matrix
+    is I, k - r = F(states(k)) and no matrix is factored (Hairer & Wanner,
+    Solving ODEs II, section IV.8).
     """
     if not dt > 0:
         raise SolverError("dt must be positive")
-    newton = newton or [None]
-    newton += [None] * (3 - len(newton))
+    carry = carry or StageCarry()
     s, d = tab.stages, problem.dim
     with ctx.workdps(10):
         full = mp.mp.dps
@@ -185,14 +172,14 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
         scale = max(1, max(abs(x) for row in f0 for x in row))
         tol = stage_tol(ctx) * scale
         done = decade(tol)
-        k = newton[2]
+        k = carry.start
         if k is None or not all(mp.isfinite(x) and abs(x) <= START_BOUND * scale
                                 for row in k for x in row):
             k = f0
         k = [list(row) for row in k]
-        if not picard and newton[0] is None:
-            newton[0] = factor([_stage_jacobian(problem, ctx, u_n, t_n)] * s, full)
-        reach = carried = newton[1]
+        if not picard and carry.lu is None:
+            carry.lu = factor([problem.jacobian(u_n, t_n)] * s, full)
+        reach = carried = carry.decade
         gain = None   # decades the next correction is expected to gain
         for it in range(MAX_ITER):
             dps = full if reach is None else min(full, FACTOR_GUARD + reach)
@@ -204,25 +191,24 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
                 q, r, rn = residual(k, dps)
             if rn <= tol:
                 if it == 1:
-                    newton[1] = full
-                newton[2] = k
+                    carry.decade = full
+                carry.start = k
                 return tuple(map(tuple, k)), tuple(map(tuple, q))
             e = decade(rn)
             if it == 1:
-                newton[1] = e
+                carry.decade = e
             if it > 0:
                 gain = max(1, e - e_prev)
             elif carried is not None:
                 gain = max(1, carried - e)
             if not picard and it > 0 and (rn > prev / 2 or it % 5 == 0):
                 stall = rn > prev / 2
-                newton[0] = factor([_stage_jacobian(problem, ctx, q[p], t_p[p])
-                                    for p in range(s)],
-                                   full if stall else min(full, FACTOR_GUARD + e))
+                carry.lu = factor([problem.jacobian(q[p], t_p[p]) for p in range(s)],
+                                  full if stall else min(full, FACTOR_GUARD + e))
                 gain = None if stall else gain + e
             with mp.workdps(dps):
                 # k -= M^-1 r for the Newton matrix M, which is I for Picard
-                delta = r if picard else linalg.lu_solve(newton[0], r)
+                delta = r if picard else linalg.lu_solve(carry.lu, r)
             for p in range(s):
                 for i in range(d):
                     k[p][i] -= delta[p * d + i]
@@ -240,9 +226,9 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
             f"iterations (residual {mp.nstr(rn, 5)})")
 
 
-def step(tab, problem, u_n, t_n, dt, ctx, picard=False, newton=None):
+def step(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
     """One integration step; returns the interval's LocalSolution."""
-    k, qhat = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard, newton)
+    k, qhat = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard, carry)
     with ctx.workdps(10):
         u_next = tuple(u_n[i] + dt * mp.fdot(tab.basis.w, [row[i] for row in k])
                        for i in range(problem.dim))
@@ -286,9 +272,9 @@ def trajectory_eval(traj, t):
 
 def _picard_bound_check(tab, problem, ctx, dt):
     with ctx.workdps(10):
-        j = _stage_jacobian(problem, ctx, list(problem.u0), problem.t0)
+        j = problem.jacobian(problem.u0, problem.t0)
         c = linalg.max_row_sum(j)
-    amax = linalg.max_row_sum([list(r) for r in tab.a])
+    amax = linalg.max_row_sum(tab.a)
     if not dt * c * amax < 1:
         raise SolverError(
             f"picard contraction bound violated: dt*C*max_row_sum(a) = "
@@ -298,10 +284,10 @@ def _picard_bound_check(tab, problem, ctx, dt):
 def integrate(tab, problem, m, ctx, picard=False):
     """Integrate over [t0, tf] on m equal intervals.
 
-    One `newton` state goes from step to step (see solve_stages).  After
-    each step its start guess becomes the interval's stage derivatives
-    extended to the next interval's stage times, k_p = sum_q l_q(1 + tau_p)
-    k_q (Hairer & Wanner, Solving ODEs II, section IV.8, starting values),
+    One StageCarry goes from step to step (see solve_stages).  After each
+    step its `start` becomes the interval's stage derivatives extended to
+    the next interval's stage times, k_p = sum_q l_q(1 + tau_p) k_q
+    (Hairer & Wanner, Solving ODEs II, section IV.8, starting values),
     from one (N+1)^2 table of l_q(1 + tau_p) at FACTOR_GUARD digits: the
     guess only starts the iteration.
     """
@@ -318,15 +304,15 @@ def integrate(tab, problem, m, ctx, picard=False):
     u = tuple(problem.u0)
     values = [u]
     locals_ = []
-    newton = [None]   # filled and carried by solve_stages
+    carry = StageCarry()
     for i in range(m):
         try:
-            loc = step(tab, problem, u, times[i], dts[i], ctx, picard, newton)
+            loc = step(tab, problem, u, times[i], dts[i], ctx, picard, carry)
         except StageSolveError as exc:
             raise StageSolveError(f"interval {i}: {exc}", interval=i) from exc
         with ctx.workdps(10):
-            cols = [[row[j] for row in newton[2]] for j in range(problem.dim)]
-            newton[2] = [[mp.fdot(l_p, col) for col in cols] for l_p in ext]
+            cols = [[row[j] for row in carry.start] for j in range(problem.dim)]
+            carry.start = [[mp.fdot(l_p, col) for col in cols] for l_p in ext]
         locals_.append(loc)
         u = loc.u_next
         values.append(u)

@@ -34,12 +34,15 @@ class AderDgTableau:
     basis: NodalBasis
     kappa: tuple        # (N+1)^2, weak-form coupling matrix
     a: tuple            # (N+1)^2, RK matrix kappa^{-1} mu
-    stages: int
     digits: int         # precision the tableau was built at
 
     @property
     def family(self):
         return self.basis.family
+
+    @property
+    def stages(self):
+        return self.n + 1
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def build_tableau(n, family, ctx):
             raise TableauError("kappa is singular") from exc
     return AderDgTableau(n=n, basis=basis, kappa=kappa,
                          a=tuple(tuple(row) for row in a),
-                         stages=n1, digits=ctx.decimal_digits)
+                         digits=ctx.decimal_digits)
 
 
 def verify_lemma21(tab, ctx):

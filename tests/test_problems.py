@@ -95,10 +95,30 @@ def test_polynomial_rhs_leading_term_bounded():
 
 def test_catalog_lookup():
     assert catalog_lookup("harmonic").name == "harmonic"
-    assert catalog_lookup("pendulum").reference_kind == "high-order-oracle"
+    assert catalog_lookup("pendulum").problem.exact is None
     assert catalog_lookup("poly:3:7").name == "poly:3:7"
     with CTX.workdps():
         assert catalog_lookup("dahlquist:-2.5").problem.rhs((mp.mpf(1),), 0)[0] == mp.mpf(-2.5)
+
+
+@pytest.mark.parametrize("spec", ["harmonic", "pendulum", "dahlquist:-3.5",
+                                  "poly:3:7"])
+def test_jacobian_matches_central_differences(spec):
+    # Newton uses only the analytic Jacobian, and a wrong one would just
+    # slow it down, so each is checked against the rhs it differentiates
+    problem = catalog_lookup(spec).problem
+    with CTX.workdps():
+        u = [mp.mpf(7) / 10, -mp.mpf(3) / 10][:problem.dim]
+        t, h = mp.mpf(2) / 5, mp.mpf(10) ** -20
+        jac = problem.jacobian(u, t)
+        for j in range(problem.dim):
+            up, um = list(u), list(u)
+            up[j] += h
+            um[j] -= h
+            fp, fm = problem.rhs(up, t), problem.rhs(um, t)
+            for i in range(problem.dim):
+                assert abs(jac[i][j] - (fp[i] - fm[i]) / (2 * h)) \
+                    < mp.mpf(10) ** -30
 
 
 def test_catalog_lookup_parses_lambda_at_catalog_precision():
