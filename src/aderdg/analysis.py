@@ -12,7 +12,7 @@ import mpmath as mp
 
 from .basis import eval_basis, gauss_rule
 from .problems import build_oracle_reference
-from .solver import combine_basis, eval_local, integrate, trajectory_eval
+from .solver import combine_basis, integrate
 from .tableau import build_tableau
 
 # column layout of the order table, matching the reference presentation
@@ -150,11 +150,13 @@ def compute_errors(traj, reference, ctx):
     """All 14 global error measures of a trajectory against a reference.
 
     Node sums run n = 0..M weighting term n by the step of interval
-    min(n, M-1); the local solution at an interior grid node is taken
-    from the left interval.  Continuous L1/L2 norms use a Gauss rule with
-    N+8 points per interval; the continuous sup-norm is sampled at
-    SUP_SAMPLES equispaced points and polished by successive parabolic
-    interpolation around the best sample.
+    min(n, M-1).  The local solution at the grid nodes (ln_*) is taken
+    from the stored traces: psi^T qhat of the first interval at t_0, and
+    psi~^T qhat of the left interval at each later node, the end value
+    that interface_identity_residual forms.  Continuous L1/L2 norms use a
+    Gauss rule with N+8 points per interval; the continuous sup-norm is
+    sampled at SUP_SAMPLES equispaced points and polished by successive
+    parabolic interpolation around the best sample.
 
     The eight grid-node errors (n_*, ln_*) are evaluated at the working
     precision.  The other six (lq_*, l_*), which need the reference away
@@ -165,7 +167,9 @@ def compute_errors(traj, reference, ctx):
     absolute, ERROR_GUARD digits below s 10^-d <= e.  If any of the six
     comes out below s 10^(ERROR_GUARD-p) = s 10^-d, all six are evaluated
     again at the working precision, so an error at the roundoff floor
-    still reaches the working precision's floor.
+    still reaches the working precision's floor.  compute_errors sets
+    these precisions itself, and the reference and every basis value run
+    at the ambient one, so the reference must work at mp.mp.dps digits.
     """
     tab = traj.tableau
     m = len(traj.locals)
@@ -174,24 +178,19 @@ def compute_errors(traj, reference, ctx):
         ref_nodes = [reference(t) for t in traj.times]
         dtn = lambda i: traj.locals[min(i, m - 1)].dt_n
 
-        # node solution
-        node_err = [_vec_err(traj.values[i], ref_nodes[i])
-                    for i in range(m + 1)]
+        # node solution, and the local solution at the grid nodes
+        traces = ([combine_basis(tab.basis.psi, traj.locals[0].qhat)]
+                  + [combine_basis(tab.basis.psi_tilde, loc.qhat)
+                     for loc in traj.locals])
+        node_err = [_vec_err(u, r) for u, r in zip(traj.values, ref_nodes)]
+        ln_err = [_vec_err(u, r) for u, r in zip(traces, ref_nodes)]
         e = {}
-        e["n_l1"] = mp.fsum(dtn(i) * node_err[i] for i in range(m + 1))
-        e["n_l2"] = mp.sqrt(mp.fsum(dtn(i) * node_err[i] ** 2
-                                    for i in range(m + 1)))
-        e["n_linf"] = max(node_err)
-        e["n_final"] = node_err[m]
-
-        # local solution at grid nodes (left interval at interior nodes)
-        ln_err = [_vec_err(trajectory_eval(traj, traj.times[i]),
-                           ref_nodes[i]) for i in range(m + 1)]
-        e["ln_l1"] = mp.fsum(dtn(i) * ln_err[i] for i in range(m + 1))
-        e["ln_l2"] = mp.sqrt(mp.fsum(dtn(i) * ln_err[i] ** 2
-                                     for i in range(m + 1)))
-        e["ln_linf"] = max(ln_err)
-        e["ln_final"] = ln_err[m]
+        for kind, err in (("n", node_err), ("ln", ln_err)):
+            e[kind + "_l1"] = mp.fsum(dtn(i) * err[i] for i in range(m + 1))
+            e[kind + "_l2"] = mp.sqrt(mp.fsum(dtn(i) * err[i] ** 2
+                                              for i in range(m + 1)))
+            e[kind + "_linf"] = max(err)
+            e[kind + "_final"] = err[m]
 
         # the other six at the digits the errors need (docstring)
         scale = max(1, max(abs(x) for u in traj.values for x in u))
@@ -211,7 +210,8 @@ def compute_errors(traj, reference, ctx):
 
 
 def _local_errors(traj, reference, ctx):
-    """The six local-solution norms (lq_*, l_*), at the ambient precision."""
+    """The six local-solution norms (lq_*, l_*), at the ambient precision:
+    basis values and reference alike."""
     tab = traj.tableau
     basis = tab.basis
     e = {}
@@ -235,24 +235,23 @@ def _local_errors(traj, reference, ctx):
     # sup-norm samples sit at the same tau in every interval, so their
     # basis values are tabulated once
     qtau, qw = gauss_rule(tab.n + 7, ctx)
-    q_basis = [eval_basis(basis, tq) for tq in qtau]
-    s_basis = [eval_basis(basis, mp.mpf(i) / (SUP_SAMPLES - 1))
+    tau, lam = basis.tau, basis.lam
+    q_basis = [eval_basis(tau, lam, tq) for tq in qtau]
+    s_basis = [eval_basis(tau, lam, mp.mpf(i) / (SUP_SAMPLES - 1))
                for i in range(SUP_SAMPLES)]
     l_l1 = l_l2 = l_linf = mp.mpf(0)
     for loc in traj.locals:
-        def err_at(t):
-            return _vec_err(eval_local(loc, basis, t), reference(t))
-
-        def err_tab(t, lvals):
+        def err(t, lvals):
             return _vec_err(combine_basis(lvals, loc.qhat), reference(t))
         for tq, wq, lvals in zip(qtau, qw, q_basis):
-            v = err_tab(loc.t_n + tq * loc.dt_n, lvals)
+            v = err(loc.t_n + tq * loc.dt_n, lvals)
             l_l1 += loc.dt_n * wq * v
             l_l2 += loc.dt_n * wq * v ** 2
         ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (SUP_SAMPLES - 1)
               for i in range(SUP_SAMPLES)]
-        vals = [err_tab(t, lvals) for t, lvals in zip(ts, s_basis)]
-        l_linf = max(l_linf, _parabolic_max(err_at, ts, vals))
+        vals = [err(t, lvals) for t, lvals in zip(ts, s_basis)]
+        l_linf = max(l_linf, _parabolic_max(lambda t: err(
+            t, eval_basis(tau, lam, (t - loc.t_n) / loc.dt_n)), ts, vals))
     e["l_l1"], e["l_l2"], e["l_linf"] = l_l1, mp.sqrt(l_l2), l_linf
     return e
 

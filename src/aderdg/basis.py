@@ -169,9 +169,15 @@ def barycentric_weights(tau, ctx):
                      for p, tp in enumerate(tau))
 
 
-def _lagrange_values(tau, lam, t):
-    # second barycentric form at the ambient precision; a t on a node gives
-    # the exact Kronecker delta
+def eval_basis(tau, lam, t):
+    """Values at t of the Lagrange polynomials of the nodes tau, whose
+    barycentric weights are lam: l_p(t) = (lam_p / (t - tau_p)) / sum_k
+    lam_k / (t - tau_k) (Berrut & Trefethen, SIAM Rev. 46(3), 2004, sec. 4).
+
+    O(N) per point, at the ambient precision: call it inside ctx.workdps().
+    t is not rounded first, so a node gives the exact Kronecker delta at
+    any precision.
+    """
     terms = []
     for p, tp in enumerate(tau):
         if t == tp:
@@ -220,22 +226,11 @@ def compute_weights(tau, lam, ctx):
     n = len(tau) - 1
     g_tau, g_w = gauss_rule(n, ctx)
     with mp.workdps(work_digits(ctx, n)):
-        vals = [_lagrange_values(tau, lam, t) for t in g_tau]
+        vals = [eval_basis(tau, lam, t) for t in g_tau]
         w = tuple(mp.fsum(g * v[p] for g, v in zip(g_w, vals))
                   for p in range(n + 1))
         _check_moments(tau, w, 2 * n, ctx)
         return w
-
-
-def eval_basis(basis, tau):
-    """Values of all basis polynomials at tau, in barycentric form.
-
-    l_p(tau) = (lam_p / (tau - tau_p)) / sum_k lam_k / (tau - tau_k)
-    (Berrut & Trefethen, SIAM Rev. 46(3), 2004, section 4).  O(N) per point;
-    a tau on a node gives the exact Kronecker delta.
-    """
-    with mp.workdps(basis.work_dps):
-        return _lagrange_values(basis.tau, basis.lam, mp.mpf(tau))
 
 
 def make_basis(n, family, ctx):
@@ -250,7 +245,7 @@ def make_basis(n, family, ctx):
     dps = work_digits(ctx, n)
     tol = ctx.identity_tol
     with mp.workdps(dps):
-        psi, psi_tilde = (_lagrange_values(tau, lam, mp.mpf(t)) for t in (0, 1))
+        psi, psi_tilde = (eval_basis(tau, lam, t) for t in (0, 1))
         if any(wp <= 0 for wp in w):
             raise BasisError("nonpositive quadrature weight")
         if abs(mp.fsum(psi) - 1) > tol or abs(mp.fsum(psi_tilde) - 1) > tol:

@@ -125,13 +125,13 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
     `start`, or one that is not finite or exceeds the tolerance scale
     START_BOUND times, starts from k_p = F(u_n, t_p).  With no `lu` the
     matrix is built from the Jacobian at (u_n, t_n).  Every 5 iterations
-    it is rebuilt from per-stage Jacobians at the current states and
-    factored at the digits they carry, FACTOR_GUARD + the residual's
+    it is rebuilt from per-stage Jacobians at the current states, evaluated
+    and factored at the digits they carry, FACTOR_GUARD + the residual's
     decade; a refresh forced by a stalled contraction, or whose rounded
-    matrix is singular, is factored at the working precision.  Picard is
-    the same iteration with the Jacobian taken as zero: the Newton matrix
-    is I, k - r = F(states(k)) and no matrix is factored (Hairer & Wanner,
-    Solving ODEs II, section IV.8).
+    matrix is singular, is evaluated and factored at the working
+    precision.  Picard is the same iteration with the Jacobian taken as
+    zero: the Newton matrix is I, k - r = F(states(k)) and no matrix is
+    factored (Hairer & Wanner, Solving ODEs II, section IV.8).
     """
     if not dt > 0:
         raise SolverError("dt must be positive")
@@ -155,13 +155,15 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
                 r = [k[p][i] - f[p][i] for p in range(s) for i in range(d)]
                 return q, r, max(abs(x) for x in r)
 
-        def factor(jacs, dps):
+        def factor(jacobians, dps):
+            # jacobians() runs inside, so the Jacobians carry dps digits too
             try:
                 with mp.workdps(dps):
+                    jacs = jacobians()
                     return linalg.lu_factor(_newton_matrix(tab, jacs, dt))
             except linalg.SingularMatrixError as exc:
                 if dps < full:
-                    return factor(jacs, full)
+                    return factor(jacobians, full)
                 raise StageSolveError("singular Newton matrix") from exc
 
         def decade(x):
@@ -178,7 +180,7 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
             k = f0
         k = [list(row) for row in k]
         if not picard and carry.lu is None:
-            carry.lu = factor([problem.jacobian(u_n, t_n)] * s, full)
+            carry.lu = factor(lambda: [problem.jacobian(u_n, t_n)] * s, full)
         reach = carried = carry.decade
         gain = None   # decades the next correction is expected to gain
         for it in range(MAX_ITER):
@@ -203,7 +205,7 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
                 gain = max(1, carried - e)
             if not picard and it > 0 and (rn > prev / 2 or it % 5 == 0):
                 stall = rn > prev / 2
-                carry.lu = factor([problem.jacobian(q[p], t_p[p]) for p in range(s)],
+                carry.lu = factor(lambda: list(map(problem.jacobian, q, t_p)),
                                   full if stall else min(full, FACTOR_GUARD + e))
                 gain = None if stall else gain + e
             with mp.workdps(dps):
@@ -236,20 +238,20 @@ def step(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
 
 
 def eval_local(local, basis, t):
-    """Dense evaluation of the predictor polynomial at t in the interval.
+    """Dense evaluation of the predictor polynomial at t in the interval,
+    at the ambient precision: call it inside ctx.workdps().
 
     A t that lands on a stored quadrature node (to rounding) returns the
     stored coefficient row verbatim, so nodal values never re-round.
     """
-    eps = mp.eps * 16  # snap radius at the caller's precision, not the basis's
-    with mp.workdps(basis.work_dps):
-        tau = (mp.mpf(t) - local.t_n) / local.dt_n
-        if tau < -eps or tau > 1 + eps:
-            raise SolverError(f"t={mp.nstr(mp.mpf(t), 10)} outside interval")
-        for p, tp in enumerate(basis.tau):
-            if abs(tau - tp) <= eps * (1 + abs(tp)):
-                return tuple(local.qhat[p])
-        return combine_basis(eval_basis(basis, tau), local.qhat)
+    eps = mp.eps * 16
+    tau = (t - local.t_n) / local.dt_n
+    if tau < -eps or tau > 1 + eps:
+        raise SolverError(f"t={mp.nstr(mp.mpf(t), 10)} outside interval")
+    for p, tp in enumerate(basis.tau):
+        if abs(tau - tp) <= eps * (1 + abs(tp)):
+            return tuple(local.qhat[p])
+    return combine_basis(eval_basis(basis.tau, basis.lam, tau), local.qhat)
 
 
 def combine_basis(vals, qhat):
@@ -260,8 +262,9 @@ def combine_basis(vals, qhat):
 
 
 def trajectory_eval(traj, t):
-    """Evaluate the piecewise local solution; interior grid nodes resolve
-    to the left interval (where the local solution matches the node value)."""
+    """Evaluate the piecewise local solution at the ambient precision (call
+    it inside ctx.workdps()); interior grid nodes resolve to the left
+    interval (where the local solution matches the node value)."""
     times = traj.times
     if t < times[0] or t > times[-1]:
         raise SolverError(f"t={mp.nstr(mp.mpf(t), 10)} outside trajectory domain")
@@ -288,8 +291,8 @@ def integrate(tab, problem, m, ctx, picard=False):
     step its `start` becomes the interval's stage derivatives extended to
     the next interval's stage times, k_p = sum_q l_q(1 + tau_p) k_q
     (Hairer & Wanner, Solving ODEs II, section IV.8, starting values),
-    from one (N+1)^2 table of l_q(1 + tau_p) at FACTOR_GUARD digits: the
-    guess only starts the iteration.
+    from one (N+1)^2 table of l_q(1 + tau_p) evaluated at FACTOR_GUARD
+    digits: the guess only starts the iteration.
     """
     if m < 1:
         raise SolverError("step count must be >= 1")
@@ -299,8 +302,9 @@ def integrate(tab, problem, m, ctx, picard=False):
         dts = [times[i + 1] - times[i] for i in range(m)]
         if picard:
             _picard_bound_check(tab, problem, ctx, max(dts))
+    tau = tab.basis.tau
     with mp.workdps(FACTOR_GUARD):
-        ext = [[+x for x in eval_basis(tab.basis, 1 + tp)] for tp in tab.basis.tau]
+        ext = [eval_basis(tau, tab.basis.lam, 1 + tp) for tp in tau]
     u = tuple(problem.u0)
     values = [u]
     locals_ = []

@@ -323,23 +323,41 @@ def _node_error_digits(traj, exact, ctx):
 
 
 @pytest.mark.parametrize("n, m, calls", [(4, 8, 657), (2, 4, 338)])
-def test_local_norms_run_at_reduced_precision(n, m, calls):
+def test_local_norms_run_at_reduced_precision(n, m, calls, monkeypatch):
     # harmonic at 500 digits makes as many reference calls as when every
     # norm ran at the working precision: the M+1 grid-node calls at the
     # working 510 digits, the others at no more than ERROR_GUARD + d.  The
     # sup-norm refinement of N=2, M=4 meets an interior maximum; at a guard
-    # of 30 digits it took 341 calls, at 20 it took 358
+    # of 30 digits it took 341 calls, at 20 it took 358.  Every basis
+    # evaluation of the local norms, the tabulated samples and the
+    # refinement alike, is called at those digits and returns values of no
+    # more bits than they carry
     ctx = make_context(500)
     full = ctx.decimal_digits + 10
     entry = harmonic_oscillator()
     traj = integrate(build_tableau(n, "gauss-legendre", ctx), entry.problem,
                      m, ctx)
     reference, dps = _recorded(entry.problem.exact)
+    basis_dps, basis_bits = [], []
+    eval_basis = analysis.eval_basis
+
+    def recording(tau, lam, t):
+        basis_dps.append(mp.mp.dps)
+        vals = eval_basis(tau, lam, t)
+        basis_bits.append(max(x.bc for x in vals))
+        return vals
+
+    monkeypatch.setattr(analysis, "eval_basis", recording)
     compute_errors(traj, reference, ctx)
     assert len(dps) == calls
     assert dps[:m + 1] == [full] * (m + 1)
     bound = ERROR_GUARD + _node_error_digits(traj, entry.problem.exact, ctx)
     assert max(dps[m + 1:]) <= bound < full
+    # the tabulated Gauss points and samples, then any refinement points
+    assert len(basis_dps) >= (n + 8) + SUP_SAMPLES
+    assert max(basis_dps) <= bound
+    with mp.workdps(bound):
+        assert max(basis_bits) <= mp.mp.prec
 
 
 @pytest.mark.parametrize("family, n, m", [

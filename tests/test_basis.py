@@ -167,7 +167,7 @@ def test_interpolation_exactness():
 
             for _ in range(10):
                 t = mp.mpf(rng.random())
-                vals = eval_basis(b, t)
+                vals = eval_basis(b.tau, b.lam, t)
                 interp = mp.fsum(f(b.tau[p]) * vals[p] for p in range(n + 1))
                 assert abs(interp - f(t)) < CTX.identity_tol
 
@@ -176,7 +176,8 @@ def test_partition_of_unity_pointwise():
     b = make_basis(6, "gauss-legendre", CTX)
     with CTX.workdps():
         for t in (mp.mpf(0), mp.mpf(1) / 7, mp.mpf(1)):
-            assert abs(mp.fsum(eval_basis(b, t)) - 1) < CTX.identity_tol
+            assert (abs(mp.fsum(eval_basis(b.tau, b.lam, t)) - 1)
+                    < CTX.identity_tol)
 
 
 def test_gauss_legendre_symmetry():
@@ -188,12 +189,17 @@ def test_gauss_legendre_symmetry():
 
 
 def test_psi_is_kronecker_at_nodes():
-    # exact delta at every node, the Radau endpoints 0 and 1 included
+    # exact delta at every node, the Radau endpoints 0 and 1 included, at
+    # mpmath's default 15 digits and at the working precision, both below
+    # the digits the nodes are stored at
     for family in ("gauss-legendre", "radau-left", "radau-right"):
         b = make_basis(4, family, CTX)
-        for p in range(5):
-            assert eval_basis(b, b.tau[p]) == tuple(
-                1 if p == q else 0 for q in range(5))
+        for ambient in (mp.workdps(15), CTX.workdps()):
+            with ambient:
+                assert mp.mp.dps < b.work_dps
+                for p in range(5):
+                    assert eval_basis(b.tau, b.lam, b.tau[p]) == tuple(
+                        1 if p == q else 0 for q in range(5))
 
 
 def _horner_basis(b, t):
@@ -226,7 +232,7 @@ def test_eval_basis_matches_horner(n, family):
     with CTX.workdps():
         for _ in range(20):
             t = mp.mpf(rng.random())
-            bary = eval_basis(b, t)
+            bary = eval_basis(b.tau, b.lam, t)
             horner = _horner_basis(b, t)
             assert max(abs(x - y) for x, y in zip(bary, horner)) \
                 < CTX.identity_tol

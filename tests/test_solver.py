@@ -102,14 +102,17 @@ def test_newton_nonconvergence_reports_interval(monkeypatch):
 
 
 def test_eval_local_snaps_stored_nodes():
+    # the stored row verbatim, at mpmath's default 15 digits and at the
+    # working precision, both below the digits the basis is stored at
     entry = harmonic_oscillator()
     traj = integrate(TAB3, entry.problem, 4, CTX)
-    with CTX.workdps():
-        loc = traj.locals[1]
-        for p, tp in enumerate(TAB3.basis.tau):
-            t = loc.t_n + tp * loc.dt_n
-            got = eval_local(loc, TAB3.basis, t)
-            assert got == tuple(loc.qhat[p])
+    loc = traj.locals[1]
+    for ambient in (mp.workdps(15), CTX.workdps()):
+        with ambient:
+            assert mp.mp.dps < TAB3.basis.work_dps
+            for p, tp in enumerate(TAB3.basis.tau):
+                t = loc.t_n + tp * loc.dt_n
+                assert eval_local(loc, TAB3.basis, t) == tuple(loc.qhat[p])
 
 
 def test_eval_local_outside_interval():
@@ -251,24 +254,41 @@ def test_carried_matrix_sets_only_the_rate():
 def test_refresh_precision(monkeypatch):
     # a scheduled refresh is factored at the digits the stage states carry,
     # below the working precision; a refresh forced by a stall is factored
-    # at the working precision
+    # at the working precision.  Every refresh evaluates its one Jacobian
+    # per stage at the digits it is factored at
     ctx = make_context(120)
     tab = build_tableau(2, "gauss-legendre", ctx)
-    problem = pendulum().problem
+    pend = pendulum().problem
+    jac_dps = []
+
+    def jacobian(u, t):
+        jac_dps.append(mp.mp.dps)
+        return pend.jacobian(u, t)
+
+    problem = dataclasses.replace(pend, jacobian=jacobian)
+
+    def per_stage(factor_dps):
+        return [dps for dps in factor_dps for _ in range(tab.stages)]
+
     with ctx.workdps():
         dt = mp.mpf(1) / 4
         # the wrong sign makes the first iteration stall, long before the
         # first scheduled refresh
         wrong = _factored_for(tab, problem, -10 * dt)
         calls = _count_lu(monkeypatch)
+        jac_dps.clear()
         solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx)
         full, scheduled = calls["factor_dps"][0], calls["factor_dps"][1:]
         assert full > ctx.decimal_digits
         assert scheduled and max(scheduled) < full
+        # the first matrix takes the one Jacobian at (u_n, t_n) for all stages
+        assert jac_dps == [full] + per_stage(scheduled)
         calls["factor_dps"].clear()
+        jac_dps.clear()
         solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx,
                      carry=StageCarry(lu=wrong))
         assert calls["factor_dps"][0] == full
+        assert jac_dps == per_stage(calls["factor_dps"])
 
 
 def test_singular_rounded_refresh_is_refactored(monkeypatch):
