@@ -211,7 +211,7 @@ def compute_errors(traj, reference, ctx):
 
 def _local_errors(traj, reference, ctx):
     """The six local-solution norms (lq_*, l_*), at the ambient precision:
-    basis values and reference alike."""
+    basis values, the q-hat rows they combine and reference alike."""
     tab = traj.tableau
     basis = tab.basis
     e = {}
@@ -241,8 +241,12 @@ def _local_errors(traj, reference, ctx):
                for i in range(SUP_SAMPLES)]
     l_l1 = l_l2 = l_linf = mp.mpf(0)
     for loc in traj.locals:
+        # q-hat rounded once to the ambient digits, so that combine_basis
+        # does not multiply each short basis value by a full-length row
+        qhat = [[+x for x in row] for row in loc.qhat]
+
         def err(t, lvals):
-            return _vec_err(combine_basis(lvals, loc.qhat), reference(t))
+            return _vec_err(combine_basis(lvals, qhat), reference(t))
         for tq, wq, lvals in zip(qtau, qw, q_basis):
             v = err(loc.t_n + tq * loc.dt_n, lvals)
             l_l1 += loc.dt_n * wq * v

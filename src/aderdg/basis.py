@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
+from . import linalg
+
 FAMILIES = ("gauss-legendre", "radau-left", "radau-right")
 
 MAX_NEWTON_ROOT = 200
@@ -190,7 +192,7 @@ def eval_basis(tau, lam, t):
 def _check_moments(tau, w, top, ctx):
     col, dev = [mp.mpf(1)] * len(tau), mp.mpf(0)
     for r in range(top + 1):
-        dev = max(dev, abs(mp.fdot(w, col) - mp.mpf(1) / (r + 1)))
+        dev = max(dev, abs(linalg.dot(w, col) - mp.mpf(1) / (r + 1)))
         col = [c * t for c, t in zip(col, tau)]
     if dev > ctx.identity_tol:
         raise BasisError(

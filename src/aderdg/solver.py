@@ -149,7 +149,7 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
                     k = [[+x for x in row] for row in k]
                     h, u, t = +dt, [+x for x in u], [+x for x in t]
                 cols = [[row[i] for row in k] for i in range(d)]
-                q = [[u[i] + h * mp.fdot(a_p, cols[i]) for i in range(d)]
+                q = [[u[i] + h * linalg.dot(a_p, cols[i]) for i in range(d)]
                      for a_p in tab.a]
                 f = [problem.rhs(q[p], t[p]) for p in range(s)]
                 r = [k[p][i] - f[p][i] for p in range(s) for i in range(d)]
@@ -232,7 +232,7 @@ def step(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
     """One integration step; returns the interval's LocalSolution."""
     k, qhat = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard, carry)
     with ctx.workdps(10):
-        u_next = tuple(u_n[i] + dt * mp.fdot(tab.basis.w, [row[i] for row in k])
+        u_next = tuple(u_n[i] + dt * linalg.dot(tab.basis.w, [row[i] for row in k])
                        for i in range(problem.dim))
     return LocalSolution(t_n=t_n, dt_n=dt, qhat=qhat, u_next=u_next)
 
@@ -256,8 +256,10 @@ def eval_local(local, basis, t):
 
 def combine_basis(vals, qhat):
     """Predictor value sum_p vals[p] qhat[p] from basis values at one point,
-    per component, at the caller's precision."""
-    return tuple(mp.fdot(vals, [row[i] for row in qhat])
+    per component, at the caller's precision: one linalg.dot each.  Its
+    products are exact, so a caller at reduced precision rounds long rows
+    first (as analysis._local_errors does)."""
+    return tuple(linalg.dot(vals, [row[i] for row in qhat])
                  for i in range(len(qhat[0])))
 
 
@@ -316,7 +318,7 @@ def integrate(tab, problem, m, ctx, picard=False):
             raise StageSolveError(f"interval {i}: {exc}", interval=i) from exc
         with ctx.workdps(10):
             cols = [[row[j] for row in carry.start] for j in range(problem.dim)]
-            carry.start = [[mp.fdot(l_p, col) for col in cols] for l_p in ext]
+            carry.start = [[linalg.dot(l_p, col) for col in cols] for l_p in ext]
         locals_.append(loc)
         u = loc.u_next
         values.append(u)

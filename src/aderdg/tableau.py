@@ -138,7 +138,7 @@ def check_simplifying(tab, which, order, ctx):
     D sum_q w_q a_qp tau_q^r = w_p (1 - tau_p^(r+1))/(r+1), for every p.
 
     The powers tau_q^r and the D weights w_q a_qp are formed once per call,
-    and each sum is one mp.fdot: exact products, rounded once."""
+    and each sum is one linalg.dot: exact products, rounded once."""
     b = tab.basis
     n1 = tab.stages
     if order < 1:
@@ -150,13 +150,13 @@ def check_simplifying(tab, which, order, ctx):
         for _ in range(order):
             pw.append([c * t for c, t in zip(pw[-1], b.tau)])
         if which == "B":
-            return max(abs(mp.fdot(b.w, pw[r]) - mp.mpf(1) / (r + 1))
+            return max(abs(linalg.dot(b.w, pw[r]) - mp.mpf(1) / (r + 1))
                        for r in range(order))
         if which == "C":
-            return max(abs(mp.fdot(tab.a[p], pw[r]) - pw[r + 1][p] / (r + 1))
+            return max(abs(linalg.dot(tab.a[p], pw[r]) - pw[r + 1][p] / (r + 1))
                        for r in range(order) for p in range(n1))
         wa = [[b.w[q] * tab.a[q][p] for q in range(n1)] for p in range(n1)]
-        return max(abs(mp.fdot(wa[p], pw[r])
+        return max(abs(linalg.dot(wa[p], pw[r])
                        - b.w[p] / (r + 1) * (1 - pw[r + 1][p]))
                    for r in range(order) for p in range(n1))
 

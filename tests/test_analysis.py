@@ -331,7 +331,8 @@ def test_local_norms_run_at_reduced_precision(n, m, calls, monkeypatch):
     # of 30 digits it took 341 calls, at 20 it took 358.  Every basis
     # evaluation of the local norms, the tabulated samples and the
     # refinement alike, is called at those digits and returns values of no
-    # more bits than they carry
+    # more bits than they carry; so is every operand of the predictor sums
+    # there, the q-hat rows included
     ctx = make_context(500)
     full = ctx.decimal_digits + 10
     entry = harmonic_oscillator()
@@ -347,7 +348,24 @@ def test_local_norms_run_at_reduced_precision(n, m, calls, monkeypatch):
         basis_bits.append(max(x.bc for x in vals))
         return vals
 
+    inside, operand_bits = [], []
+    local_errors, combine_basis = analysis._local_errors, analysis.combine_basis
+
+    def local_recording(*args):
+        inside.append(True)
+        try:
+            return local_errors(*args)
+        finally:
+            inside.pop()
+
+    def combining(vals, qhat):
+        if inside:
+            operand_bits.append(max(x.bc for row in (vals, *qhat) for x in row))
+        return combine_basis(vals, qhat)
+
     monkeypatch.setattr(analysis, "eval_basis", recording)
+    monkeypatch.setattr(analysis, "_local_errors", local_recording)
+    monkeypatch.setattr(analysis, "combine_basis", combining)
     compute_errors(traj, reference, ctx)
     assert len(dps) == calls
     assert dps[:m + 1] == [full] * (m + 1)
@@ -356,8 +374,10 @@ def test_local_norms_run_at_reduced_precision(n, m, calls, monkeypatch):
     # the tabulated Gauss points and samples, then any refinement points
     assert len(basis_dps) >= (n + 8) + SUP_SAMPLES
     assert max(basis_dps) <= bound
+    assert len(operand_bits) >= m * ((n + 8) + SUP_SAMPLES)
     with mp.workdps(bound):
         assert max(basis_bits) <= mp.mp.prec
+        assert max(operand_bits) <= mp.mp.prec
 
 
 @pytest.mark.parametrize("family, n, m", [

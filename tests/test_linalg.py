@@ -3,8 +3,11 @@ import random
 import mpmath as mp
 import pytest
 
-from aderdg import linalg
+from aderdg import linalg, tableau
+from aderdg.analysis import compute_errors
 from aderdg.arith import make_context
+from aderdg.problems import harmonic_oscillator, pendulum
+from aderdg.solver import integrate
 from aderdg.tableau import build_tableau
 
 
@@ -72,3 +75,66 @@ def test_solve_matrix_several_right_hand_sides():
             x = [xmat[i][j] for i in range(3)]
             assert _residual(a, x, [bmat[i][j] for i in range(3)]) \
                 < mp.mpf(10) ** -48
+
+
+def _random_vector(rng, n):
+    # 10% zeros; otherwise a mantissa of 15-510 digits, either sign, and a
+    # binary exponent within +-200
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            out.append(mp.mpf(0))
+            continue
+        bits = int(rng.randint(15, 510) * 3.33)
+        man = rng.getrandbits(bits) | 1 << (bits - 1)
+        out.append(mp.mpf((rng.choice((-1, 1)) * man,
+                           rng.randint(-200, 200) - bits)))
+    return out
+
+
+@pytest.mark.parametrize("digits", [15, 60, 510])
+def test_dot_matches_fdot(digits):
+    rng = random.Random(digits)
+    with mp.workdps(1800):
+        pairs = []
+        for _ in range(300):
+            n = rng.randint(0, 20)
+            pairs.append((_random_vector(rng, n), _random_vector(rng, n)))
+    with mp.workdps(digits):
+        for xs, ys in pairs:
+            assert linalg.dot(xs, ys)._mpf_ == mp.fdot(xs, ys)._mpf_
+        empty = linalg.dot([], [])
+        assert type(empty) is mp.mpf and empty._mpf_ == mp.mpf(0)._mpf_
+        # the exact sum keeps a term 3 prec bits below the cancelled ones
+        tiny = mp.ldexp(1, -3 * mp.mp.prec)
+        xs, ys = [mp.mpf(1), mp.mpf(-1), tiny], [mp.mpf(1)] * 3
+        assert linalg.dot(xs, ys) == tiny == mp.fdot(xs, ys)
+        # anything but finite mpf pairs is mp.fdot's
+        one, two = mp.mpf(1), mp.mpf(2)
+        for xs, ys in (([mp.inf, one], [two, one]),
+                       ([mp.mpf(0), one], [mp.inf, two]),
+                       ([one, mp.nan], [two, one]),
+                       ([one, mp.mpc(2, -3)], [two, mp.mpf(5)]),
+                       ([3, one], [two, 7])):
+            assert repr(linalg.dot(xs, ys)) == repr(mp.fdot(xs, ys))
+
+
+def test_dot_is_the_one_inner_product(monkeypatch):
+    # with mp.fdot refused, a call site still on it, or a real operand that
+    # falls back to it, fails
+    def refused(*args, **kwargs):
+        raise AssertionError("mp.fdot called")
+
+    monkeypatch.setattr(mp, "fdot", refused)
+    ctx = make_context(60)
+    tab = build_tableau(3, "gauss-legendre", ctx)
+    for which, order in (("B", 8), ("C", 3), ("D", 3)):
+        assert tableau.check_simplifying(tab, which, order, ctx) \
+            < ctx.identity_tol
+    # Picard needs 16 intervals to meet its contraction bound
+    for picard, m in ((False, 2), (True, 16)):
+        integrate(tab, pendulum().problem, m, ctx, picard=picard)
+    entry = harmonic_oscillator()
+    traj = integrate(build_tableau(2, "gauss-legendre", ctx), entry.problem,
+                     4, ctx)
+    assert compute_errors(traj, entry.problem.exact, ctx).errors["l_linf"] > 0
