@@ -1,7 +1,9 @@
 """Nodal Lagrange basis on [0, 1] at Legendre-type quadrature nodes.
 
 Nodes are roots of the shifted Legendre polynomial of degree N+1
-(gauss-legendre family) or of its Radau combinations.  The basis is kept
+(gauss-legendre family) or of its Radau combinations, solved by Newton's
+method on integers in fixed point with precision doubling; the mpf
+recurrence at the working digits checks every root.  The basis is kept
 in nodal form only: the nodes, their barycentric weights lam and the
 quadrature weights w.  Values come from the barycentric formula, weights
 from the closed-form Gauss rule, which integrates every basis polynomial
@@ -17,8 +19,11 @@ import mpmath as mp
 from . import linalg
 
 FAMILIES = ("gauss-legendre", "radau-left", "radau-right")
+# a family's nodes are the roots of P~_{N+1} + sign * P~_N
+_SIGN = {"gauss-legendre": 0, "radau-right": -1, "radau-left": 1}
 
-MAX_NEWTON_ROOT = 200
+# _solve_root: iterations per root, first and guard bits, largest last step
+MAX_NEWTON_ROOT, START_BITS, GUARD_BITS, STOP_UNITS = 200, 60, 24, 8
 
 
 class BasisError(ValueError):
@@ -79,84 +84,94 @@ def shifted_legendre(n, tau):
     return p, c * (x * p - p_prev), p_prev, c * (p - x * p_prev)
 
 
-def _family_poly(n1, family):
-    """Evaluator tau -> (value, derivative) of the node-defining polynomial
-    of a family: P~_{N+1} (gauss-legendre) or P~_{N+1} -+ P~_N
-    (radau-right / radau-left), both from one shifted_legendre pass."""
-    sign = {"gauss-legendre": 0, "radau-right": -1, "radau-left": 1}[family]
+def _newton_correction(n1, sign, t, bits):
+    """Newton correction, in units of 2^-bits, of f = P~_{N+1} + sign P~_N
+    at tau = t / 2^bits: shifted_legendre's recurrence and identity on
+    integers, f/f' = 2 tau (tau - 1) f / (n1 (x P - Q + sign (P - x Q)))."""
+    one = 1 << bits
+    x = 2 * t - one
+    q, p = one, x
+    for k in range(1, n1):
+        q, p = p, ((2 * k + 1) * (x * p >> bits) - k * q) // (k + 1)
+    d = n1 * ((x * p >> bits) - q + sign * (p - (x * q >> bits)))
+    if not d:
+        raise RootConvergenceError("zero derivative at a node iterate")
+    return (2 * t * (t - one) >> bits) * (p + sign * q) // d
 
-    def f(tau):
-        v1, d1, v0, d0 = shifted_legendre(n1, tau)
-        return (v1 + sign * v0, d1 + sign * d0) if sign else (v1, d1)
-    return f
 
+def _solve_root(n1, sign, guess, prec):
+    """Root of P~_{N+1} + sign P~_N near guess, rounded once to prec bits.
 
-def _newton_root(f, guess, eps):
-    tau = guess
+    Newton on tau = t / 2^bits with integer t and precision doubling (Brent
+    & Zimmermann, Modern Computer Arithmetic, 4.2): a correction of 2^-r
+    leaves ~2r good bits and the next doubles them, so bits grows to 4r,
+    up to prec + GUARD_BITS, where a correction <= STOP_UNITS ends it."""
+    top, bits = prec + GUARD_BITS, START_BITS
+    t = int(mp.ldexp(guess, bits))
     for _ in range(MAX_NEWTON_ROOT):
-        v, d = f(tau)
-        if d == 0:
-            break
-        step = v / d
-        tau = tau - step
-        if abs(step) <= eps * (1 + abs(tau)):
-            # one extra polish step past the convergence trigger
-            v, d = f(tau)
-            if d != 0:
-                tau = tau - v / d
-            return tau
+        step = _newton_correction(n1, sign, t, bits)
+        t -= step
+        if bits == top and abs(step) <= STOP_UNITS:
+            return mp.mpf((t, -bits))
+        grown = min(top, max(bits, 4 * (bits - abs(step).bit_length())))
+        t, bits = t << (grown - bits), grown
     raise RootConvergenceError("Newton iteration for a node did not converge")
 
 
 def _initial_guesses(n1, family):
-    """One closed-form starting point per root of the family polynomial.
+    """Starting points at START_BITS, one per non-endpoint root of the family.
 
     Gauss-Legendre starts from the asymptotic zeros of P_{N+1},
     theta_i = (i - 1/4) pi / (N + 3/2).  Radau-right starts from the
-    endpoint 1, an exact root since P~_k(1) = 1 for every k, plus the
     asymptotic zeros of the Jacobi polynomial P_N^(1,0),
     theta_k = (k + 1/4) pi / (N + 1) (Szego, Orthogonal Polynomials, 8.9;
     Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013); radau-left is its
     mirror image about 1/2.  Each theta maps to tau = (1 + cos theta) / 2.
+    mpmath's cos, not math.cos, which maps ~0.12 MiB of libm tables.
     """
-    if family == "gauss-legendre":
-        return [(1 + mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n1 + mp.mpf(1) / 2))) / 2
-                for i in range(1, n1 + 1)]
-    right = [mp.mpf(1)] + [(1 + mp.cos(mp.pi * (k + mp.mpf(1) / 4) / n1)) / 2
-                           for k in range(1, n1)]
-    return right if family == "radau-right" else [1 - g for g in right]
+    with mp.workprec(START_BITS):
+        if family == "gauss-legendre":
+            return [(1 + mp.cos(mp.pi * (i - 0.25) / (n1 + 0.5))) / 2
+                    for i in range(1, n1 + 1)]
+        right = [(1 + mp.cos(mp.pi * (k + 0.25) / n1)) / 2
+                 for k in range(1, n1)]
+        return right if family == "radau-right" else [1 - g for g in right]
 
 
 def compute_nodes(n, family, ctx):
     """Ascending nodes of the degree-N basis, (N+1) of them, in [0, 1].
 
-    Every node is a Newton root of the family polynomial started at its
-    closed-form asymptotic zero; _check_roots rejects two starts that
-    converge to one root.
+    Each is solved by _solve_root, in integer fixed point with precision
+    doubling, from its asymptotic zero; a Radau endpoint (1 or 0) is an
+    exact root, as P~_k(1) = 1 and P~_k(0) = (-1)^k.  _check_roots, the
+    mpf shifted_legendre at the working digits, is the acceptance check;
+    it also rejects two starts that converge to one root.
     """
     if n < 0:
         raise BasisError("degree must be nonnegative")
     n1 = n + 1
     if family not in FAMILIES:
         raise BasisError(f"unknown node family: {family!r}")
-    dps = work_digits(ctx, n)
-    with mp.workdps(dps):
-        eps = mp.mpf(10) ** (-(dps - 5))
-        f = _family_poly(n1, family)
-        roots = sorted(_newton_root(f, g, eps)
-                       for g in _initial_guesses(n1, family))
-        _check_roots(roots, f, ctx)
+    sign = _SIGN[family]
+    with mp.workdps(work_digits(ctx, n)):
+        ends = {"radau-right": [mp.mpf(1)], "radau-left": [mp.mpf(0)]}
+        roots = sorted(ends.get(family, []) + [
+            _solve_root(n1, sign, g, mp.mp.prec)
+            for g in _initial_guesses(n1, family)])
+        _check_roots(roots, n1, sign, ctx)
         return tuple(roots)
 
 
-def _check_roots(roots, f, ctx):
+def _check_roots(roots, n1, sign, ctx):
     bound = 100 * ctx.unit_roundoff
     for t in roots:
         if not 0 <= t <= 1:
             raise BasisError(f"node {mp.nstr(t, 10)} outside [0, 1]")
-        if abs(f(t)[0]) > bound:
+        v1, _, v0, _ = shifted_legendre(n1, t)
+        if abs(v1 + sign * v0) > bound:
             raise RootConvergenceError(
-                f"node residual {mp.nstr(abs(f(t)[0]), 5)} above polish target")
+                f"node residual {mp.nstr(abs(v1 + sign * v0), 5)} above "
+                f"{mp.nstr(bound, 3)}")
     for a, b in zip(roots, roots[1:]):
         if not a < b:
             raise BasisError("nodes not strictly ascending")

@@ -5,9 +5,11 @@ import pytest
 
 from aderdg.arith import make_context
 from aderdg import basis
-from aderdg.basis import (BasisError, barycentric_weights, compute_nodes,
+from aderdg.basis import (FAMILIES, BasisError, RootConvergenceError,
+                          barycentric_weights, compute_nodes,
                           compute_weights, eval_basis, make_basis,
-                          require_conditioning, shifted_legendre)
+                          require_conditioning, shifted_legendre,
+                          work_digits)
 
 CTX = make_context(60)
 
@@ -36,10 +38,11 @@ def _legendre_reference(k, t):
 
 @pytest.mark.parametrize("n", range(1, 26))
 def test_shifted_legendre_matches_mpmath(n):
-    # both degrees of one pass, and the three family polynomials built from
-    # it, inside (0, 1) and exactly at 0, 1/2 and 1; at 0 and 1 the
-    # derivative identity divides by zero and the exact end values
-    # P~_k(1) = 1, P~_k'(1) = k(k+1) and their mirror images take over
+    # both degrees of one pass inside (0, 1) and exactly at 0, 1/2 and 1,
+    # and the integer Newton correction of the three family polynomials
+    # built from them inside (0, 1); at 0 and 1 the derivative identity
+    # divides by zero and the exact end values P~_k(1) = 1,
+    # P~_k'(1) = k(k+1) and their mirror images take over
     with CTX.workdps():
         tol = CTX.identity_tol
         for t in (mp.mpf(0), mp.mpf(1) / 2, mp.mpf(1), mp.mpf(1) / 7,
@@ -49,32 +52,152 @@ def test_shifted_legendre_matches_mpmath(n):
                                   _legendre_reference(n - 1, t))
             for x, want in zip(got, (v1, d1, v0, d0)):
                 assert abs(x - want) <= tol * max(1, abs(want))
-            for family, sign in (("gauss-legendre", 0), ("radau-right", -1),
-                                 ("radau-left", 1)):
-                v, d = basis._family_poly(n, family)(t)
-                assert abs(v - (v1 + sign * v0)) <= tol
-                assert abs(d - (d1 + sign * d0)) <= tol * max(1, abs(d1))
+            if not 0 < t < 1:
+                continue
+            bits = mp.mp.prec
+            t_int = int(mp.ldexp(t, bits))
+            (v1, d1), (v0, d0) = (
+                _legendre_reference(n, mp.ldexp(t_int, -bits)),
+                _legendre_reference(n - 1, mp.ldexp(t_int, -bits)))
+            for sign in (0, -1, 1):
+                if d1 + sign * d0 == 0:
+                    # P~_n' at 1/2 for even n
+                    with pytest.raises(RootConvergenceError):
+                        basis._newton_correction(n, sign, t_int, bits)
+                    continue
+                want = (v1 + sign * v0) / (d1 + sign * d0)
+                step = basis._newton_correction(n, sign, t_int, bits)
+                assert abs(mp.ldexp(step, -bits) - want) <= tol * max(
+                    1, abs(want))
         for t, x in ((mp.mpf(0), -1), (mp.mpf(1), 1)):
             assert shifted_legendre(n, t) == (
                 x ** n, x ** (n + 1) * n * (n + 1),
                 x ** (n - 1), x ** n * (n - 1) * n)
 
 
-@pytest.mark.parametrize("n, family, calls", [
-    (12, "gauss-legendre", 135), (6, "radau-right", 70)])
-def test_node_solve_evaluation_count(monkeypatch, n, family, calls):
-    # one shifted_legendre pass per Newton evaluation of the family
-    # polynomial (radau-right made 140 when P~_N took a second pass); a
-    # change that doubles the root finder's work breaks the pin
-    seen = []
+@pytest.mark.parametrize("n, family, iterations", [
+    (12, "gauss-legendre", 113), (6, "radau-right", 55)])
+def test_node_solve_evaluation_count(monkeypatch, n, family, iterations):
+    # the integer solve makes every Newton evaluation, and a change that
+    # doubles its work breaks the pin; the mpf shifted_legendre runs once
+    # per node, all of them in the _check_roots acceptance check
+    seen, steps, in_check = [], [], []
 
     def counted(k, t):
-        seen.append(k)
+        seen.append((k, bool(in_check)))
         return shifted_legendre(k, t)
 
+    def correction(*args):
+        steps.append(args[0])
+        return newton_correction(*args)
+
+    def check(*args):
+        in_check.append(True)
+        check_roots(*args)
+        in_check.clear()
+
+    newton_correction, check_roots = (basis._newton_correction,
+                                      basis._check_roots)
     monkeypatch.setattr(basis, "shifted_legendre", counted)
+    monkeypatch.setattr(basis, "_newton_correction", correction)
+    monkeypatch.setattr(basis, "_check_roots", check)
     compute_nodes(n, family, make_context(500))
-    assert len(seen) == calls and set(seen) == {n + 1}
+    assert seen == [(n + 1, True)] * (n + 1)
+    assert len(steps) == iterations and set(steps) == {n + 1}
+
+
+def _mpf_newton_nodes(n, family, dps):
+    """Nodes by Newton's method in mpf arithmetic at dps digits, from the
+    asymptotic starts in mpf, with one polish step past convergence: the
+    reference for the integer solve, run at twice its digits."""
+    n1, sign = n + 1, {"gauss-legendre": 0, "radau-right": -1,
+                       "radau-left": 1}[family]
+    with mp.workdps(dps):
+        if family == "gauss-legendre":
+            starts = [(1 + mp.cos(mp.pi * (i - mp.mpf(1) / 4)
+                                  / (n1 + mp.mpf(1) / 2))) / 2
+                      for i in range(1, n1 + 1)]
+        else:
+            starts = [mp.mpf(1)] + [
+                (1 + mp.cos(mp.pi * (k + mp.mpf(1) / 4) / n1)) / 2
+                for k in range(1, n1)]
+            if family == "radau-left":
+                starts = [1 - g for g in starts]
+
+        def f(tau):
+            v1, d1, v0, d0 = shifted_legendre(n1, tau)
+            return v1 + sign * v0, d1 + sign * d0
+
+        eps, roots = mp.mpf(10) ** (-(dps - 5)), []
+        for tau in starts:
+            for _ in range(200):
+                v, d = f(tau)
+                step = v / d
+                tau -= step
+                if abs(step) <= eps * (1 + abs(tau)):
+                    v, d = f(tau)
+                    roots.append(tau - v / d if d else tau)
+                    break
+            else:
+                raise AssertionError("reference Newton did not converge")
+        return sorted(roots)
+
+
+@pytest.mark.parametrize("digits", [30, 120, 500])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 24])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_nodes_match_mpf_newton_at_twice_the_digits(family, n, digits):
+    # the integer solve rounds each root once from GUARD_BITS past the
+    # working precision, so it lands within one ulp of it (within 0.5 in
+    # every case here); the Radau endpoints are exact
+    ctx = make_context(digits)
+    dps = work_digits(ctx, n)
+    tau = compute_nodes(n, family, ctx)
+    ref = _mpf_newton_nodes(n, family, 2 * dps)
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+    assert len(tau) == len(ref) == n + 1
+    for t, r in zip(tau, ref):
+        ulp = mp.ldexp(1, mp.mag(r) - prec) if r else mp.ldexp(1, -prec)
+        assert abs(t - r) <= ulp
+    if family == "radau-right":
+        assert tau[-1] == 1
+    if family == "radau-left":
+        assert tau[0] == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_root_check_rejects_a_root_off_by_half_the_bits(monkeypatch, family):
+    # _check_roots evaluates the mpf recurrence itself, so one root off by
+    # 2^(-prec/2) fails it whatever the integer solve reports
+    solve_root, solved = basis._solve_root, []
+
+    def off(n1, sign, guess, prec):
+        solved.append(guess)
+        root = solve_root(n1, sign, guess, prec)
+        return root + mp.ldexp(1, -(prec // 2)) if len(solved) == 1 else root
+
+    monkeypatch.setattr(basis, "_solve_root", off)
+    with pytest.raises(RootConvergenceError, match="residual"):
+        compute_nodes(6, family, make_context(120))
+    # every root is solved before the check; a Radau endpoint needs none
+    assert len(solved) == (7 if family == "gauss-legendre" else 6)
+
+
+def test_node_solve_gives_up_at_its_iteration_cap(monkeypatch):
+    # corrections that alternate past STOP_UNITS, as evaluation noise above
+    # the stop size would, never end the iteration: it stops at the cap
+    newton_correction, steps = basis._newton_correction, []
+
+    def noisy(*args):
+        steps.append(args)
+        jitter = (basis.STOP_UNITS + 1) * (-1) ** len(steps)
+        return newton_correction(*args) + jitter
+
+    monkeypatch.setattr(basis, "_newton_correction", noisy)
+    with pytest.raises(RootConvergenceError, match="did not converge"):
+        compute_nodes(6, "gauss-legendre", make_context(120))
+    assert len(steps) == basis.MAX_NEWTON_ROOT
 
 
 def test_nodes_n1_closed_form():
