@@ -24,6 +24,9 @@ _SIGN = {"gauss-legendre": 0, "radau-right": -1, "radau-left": 1}
 
 # _solve_root: iterations per root, first and guard bits, largest last step
 MAX_NEWTON_ROOT, START_BITS, GUARD_BITS, STOP_UNITS = 200, 60, 24, 8
+# _check_roots: units of 2^-prec a node may sit from its root (measured:
+# at most 1.4, every family, N up to 150)
+CHECK_BITS = 4
 
 
 class BasisError(ValueError):
@@ -63,14 +66,14 @@ def require_conditioning(n, ctx):
 
 
 def shifted_legendre(n, tau):
-    """(P~_n, P~_n', P~_{n-1}, P~_{n-1}') for the shifted Legendre
-    polynomials on [0, 1], with P~_{-1} = 0, at the ambient precision.
+    """(P~_n, P~_n', P~_{n-1}) for the shifted Legendre polynomials on
+    [0, 1], with P~_{-1} = 0, at the ambient precision.
 
     One three-term recurrence in x = 2*tau - 1 gives both values; the
-    derivatives follow from (x^2 - 1) P_n' = n (x P_n - P_{n-1}) and
-    (x^2 - 1) P_{n-1}' = n (P_n - x P_{n-1}) (Abramowitz & Stegun 22.8.5),
-    with x^2 - 1 = 4 tau (tau - 1).  At tau = 0 and 1, where they divide
-    by zero, the exact end values P~_k = x^k, P~_k' = x^(k+1) k (k+1) hold.
+    derivative follows from (x^2 - 1) P_n' = n (x P_n - P_{n-1})
+    (Abramowitz & Stegun 22.8.5), with x^2 - 1 = 4 tau (tau - 1).  At
+    tau = 0 and 1, where it divides by zero, the exact end values
+    P~_n = x^n, P~_n' = x^(n+1) n (n+1) hold.
     """
     t = mp.mpf(tau)
     x = 2 * t - 1
@@ -79,15 +82,16 @@ def shifted_legendre(n, tau):
         p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
     den = 2 * t * (t - 1)
     if den == 0:
-        return p, x * p * n * (n + 1), p_prev, p * (n - 1) * n
+        return p, x * p * n * (n + 1), p_prev
     c = n / den
-    return p, c * (x * p - p_prev), p_prev, c * (p - x * p_prev)
+    return p, c * (x * p - p_prev), p_prev
 
 
 def _newton_correction(n1, sign, t, bits):
     """Newton correction, in units of 2^-bits, of f = P~_{N+1} + sign P~_N
-    at tau = t / 2^bits: shifted_legendre's recurrence and identity on
-    integers, f/f' = 2 tau (tau - 1) f / (n1 (x P - Q + sign (P - x Q)))."""
+    at tau = t / 2^bits: shifted_legendre's recurrence on integers, and
+    A&S 22.8.5 for both degrees, f/f' = 2 tau (tau - 1) f /
+    (n1 (x P - Q + sign (P - x Q)))."""
     one = 1 << bits
     x = 2 * t - one
     q, p = one, x
@@ -147,6 +151,12 @@ def compute_nodes(n, family, ctx):
     mpf shifted_legendre at the working digits, is the acceptance check;
     it also rejects two starts that converge to one root.
     """
+    return _nodes_and_slopes(n, family, ctx)[0]
+
+
+def _nodes_and_slopes(n, family, ctx):
+    """compute_nodes' nodes and the slopes P~'_{N+1} at them, from the
+    root check's pass at the working digits."""
     if n < 0:
         raise BasisError("degree must be nonnegative")
     n1 = n + 1
@@ -158,23 +168,29 @@ def compute_nodes(n, family, ctx):
         roots = sorted(ends.get(family, []) + [
             _solve_root(n1, sign, g, mp.mp.prec)
             for g in _initial_guesses(n1, family)])
-        _check_roots(roots, n1, sign, ctx)
-        return tuple(roots)
+        return tuple(roots), _check_roots(roots, n1, sign)
 
 
-def _check_roots(roots, n1, sign, ctx):
-    bound = 100 * ctx.unit_roundoff
+def _check_roots(roots, n1, sign):
+    """Accept roots of f = P~_{N+1} + sign P~_N at the ambient precision
+    and return the slopes P~'_{N+1} there.  At a root inside (0, 1),
+    f' = (1 + |sign|) P~'_{N+1} (A&S 22.8.5), so |f / P~'_{N+1}| is within
+    a factor 2 of the distance to the root; it may be 2^(CHECK_BITS - prec)."""
+    bound = mp.ldexp(1, CHECK_BITS - mp.mp.prec)
+    slopes = []
     for t in roots:
         if not 0 <= t <= 1:
             raise BasisError(f"node {mp.nstr(t, 10)} outside [0, 1]")
-        v1, _, v0, _ = shifted_legendre(n1, t)
-        if abs(v1 + sign * v0) > bound:
+        v1, d1, v0 = shifted_legendre(n1, t)
+        res, lim = abs(v1 + sign * v0), bound * abs(d1)
+        if res > lim:
             raise RootConvergenceError(
-                f"node residual {mp.nstr(abs(v1 + sign * v0), 5)} above "
-                f"{mp.nstr(bound, 3)}")
+                f"node residual {mp.nstr(res, 5)} above {mp.nstr(lim, 3)}")
+        slopes.append(d1)
     for a, b in zip(roots, roots[1:]):
         if not a < b:
             raise BasisError("nodes not strictly ascending")
+    return slopes
 
 
 def barycentric_weights(tau, ctx):
@@ -220,13 +236,13 @@ def gauss_rule(n, ctx):
     """Nodes and weights of the (n+1)-point Gauss-Legendre rule on [0, 1].
 
     w_p = 1 / (tau_p (1 - tau_p) P~'_{n+1}(tau_p)^2), the closed form of
-    Abramowitz & Stegun 25.4.29 mapped to [0, 1]; checked on the moments
-    the rule integrates exactly, degree 2n+1 and below.
+    Abramowitz & Stegun 25.4.29 mapped to [0, 1], with the slopes of the
+    root check; checked on the moments the rule integrates exactly,
+    degree 2n+1 and below.
     """
-    tau = compute_nodes(n, "gauss-legendre", ctx)
+    tau, slopes = _nodes_and_slopes(n, "gauss-legendre", ctx)
     with mp.workdps(work_digits(ctx, n)):
-        w = tuple(1 / (t * (1 - t) * shifted_legendre(n + 1, t)[1] ** 2)
-                  for t in tau)
+        w = tuple(1 / (t * (1 - t) * s ** 2) for t, s in zip(tau, slopes))
         _check_moments(tau, w, 2 * n + 1, ctx)
     return tau, w
 
@@ -254,11 +270,14 @@ def make_basis(n, family, ctx):
     """Build and validate the full nodal basis for degree n; lam and the
     boundary traces psi_p = l_p(0), psi~_p = l_p(1) follow from the nodes."""
     require_conditioning(n, ctx)
-    # the Gauss rule is cached, and compute_weights needs it for every family
-    tau = (gauss_rule(n, ctx)[0] if family == "gauss-legendre"
-           else compute_nodes(n, family, ctx))
-    lam = barycentric_weights(tau, ctx)
-    w = compute_weights(tau, lam, ctx)
+    # the Gauss rule's own weights are the bits compute_weights would return
+    if family == "gauss-legendre":
+        tau, w = gauss_rule(n, ctx)
+        lam = barycentric_weights(tau, ctx)
+    else:
+        tau = compute_nodes(n, family, ctx)
+        lam = barycentric_weights(tau, ctx)
+        w = compute_weights(tau, lam, ctx)
     dps = work_digits(ctx, n)
     tol = ctx.identity_tol
     with mp.workdps(dps):

@@ -113,12 +113,15 @@ def verify_lemma21(tab, ctx):
     Relation 0 carries the weight matrix on the left of kappa^-1; with it
     on the right (the matrix a) the relation only holds for equal weights,
     since mu and kappa^-1 do not commute.  The trace relation reduces to
-    |psi|^2 alone only for node sets symmetric about 1/2.
+    |psi|^2 alone only for node sets symmetric about 1/2.  Relations 0 and
+    1 read kappa^-1 from the stored a = kappa^-1 mu, as
+    [kappa^-1 psi]_p = sum_q a_pq psi_q / w_q; 2, 4 and 5 read kappa.
     """
     b = tab.basis
     n1 = tab.stages
     with mp.workdps(b.work_dps):
-        x = linalg.solve([list(r) for r in tab.kappa], list(b.psi))
+        psi_w = [pq / wq for pq, wq in zip(b.psi, b.w)]
+        x = [linalg.dot(row, psi_w) for row in tab.a]
         r0 = max(abs(b.w[p] * x[p] - b.w[p]) for p in range(n1))
         r1 = max(abs(xp - 1) for xp in x)
         r2 = max(abs(mp.fsum(tab.kappa[p]) - b.psi[p]) for p in range(n1))
@@ -132,8 +135,9 @@ def verify_lemma21(tab, ctx):
         return (r0, r1, r2, r3, r4, r5)
 
 
-def check_simplifying(tab, which, order, ctx):
-    """Max residual of simplifying condition B/C/D over 0 <= r < order:
+def simplifying_residuals(tab, which, order, ctx):
+    """Residual of simplifying condition B/C/D for each r < order, the max
+    over p; the first k are those of order k:
     B sum_q w_q tau_q^r = 1/(r+1), C sum_q a_pq tau_q^r = tau_p^(r+1)/(r+1),
     D sum_q w_q a_qp tau_q^r = w_p (1 - tau_p^(r+1))/(r+1), for every p.
 
@@ -150,15 +154,20 @@ def check_simplifying(tab, which, order, ctx):
         for _ in range(order):
             pw.append([c * t for c, t in zip(pw[-1], b.tau)])
         if which == "B":
-            return max(abs(linalg.dot(b.w, pw[r]) - mp.mpf(1) / (r + 1))
-                       for r in range(order))
+            return [abs(linalg.dot(b.w, pw[r]) - mp.mpf(1) / (r + 1))
+                    for r in range(order)]
         if which == "C":
-            return max(abs(linalg.dot(tab.a[p], pw[r]) - pw[r + 1][p] / (r + 1))
-                       for r in range(order) for p in range(n1))
+            return [max(abs(linalg.dot(tab.a[p], pw[r]) - pw[r + 1][p] / (r + 1))
+                        for p in range(n1)) for r in range(order)]
         wa = [[b.w[q] * tab.a[q][p] for q in range(n1)] for p in range(n1)]
-        return max(abs(linalg.dot(wa[p], pw[r])
-                       - b.w[p] / (r + 1) * (1 - pw[r + 1][p]))
-                   for r in range(order) for p in range(n1))
+        return [max(abs(linalg.dot(wa[p], pw[r])
+                        - b.w[p] / (r + 1) * (1 - pw[r + 1][p]))
+                    for p in range(n1)) for r in range(order)]
+
+
+def check_simplifying(tab, which, order, ctx):
+    """Max residual of simplifying condition B/C/D over 0 <= r < order."""
+    return max(simplifying_residuals(tab, which, order, ctx))
 
 
 def build_q_m(tab, ctx):
@@ -183,13 +192,12 @@ def build_q_m(tab, ctx):
         u = [mp.fsum(a[p][q] * b.psi[p] for p in range(n1)) for q in range(n1)]
         q_res = max(abs(q_mat[p][q] - b.psi[p] * b.psi[q])
                     for p in range(n1) for q in range(n1))
-        m_res = max(abs(m_mat[p][q] - u[p] * u[q])
-                    for p in range(n1) for q in range(n1))
+        defect = [[m_mat[p][q] - u[p] * u[q] for q in range(n1)] for p in range(n1)]
+        m_res = max(abs(x) for row in defect for x in row)
         if q_res > ctx.identity_tol or m_res > ctx.identity_tol:
             raise TableauError("dyadic stability structure violated")
         # eigenvalues of the dyadic square are {lambda, 0, ...}; Gershgorin on
         # the defect matrix bounds how far M's spectrum can dip below zero
-        defect = [[m_mat[p][q] - u[p] * u[q] for q in range(n1)] for p in range(n1)]
         gersh = -linalg.max_row_sum(defect)
         lam_m = mp.fsum(up ** 2 for up in u)
         return QMStability(

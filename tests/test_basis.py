@@ -7,26 +7,27 @@ from aderdg.arith import make_context
 from aderdg import basis
 from aderdg.basis import (FAMILIES, BasisError, RootConvergenceError,
                           barycentric_weights, compute_nodes,
-                          compute_weights, eval_basis, make_basis,
-                          require_conditioning, shifted_legendre,
-                          work_digits)
+                          compute_weights, eval_basis, gauss_rule,
+                          make_basis, require_conditioning,
+                          shifted_legendre, work_digits)
 
 CTX = make_context(60)
 
 
 def test_shifted_legendre_low_degrees():
-    # P~_1 = 2t - 1, P~_2 = 6t^2 - 6t + 1 on [0, 1]
+    # P~_1 = 2t - 1, P~_2 = 6t^2 - 6t + 1 on [0, 1]; the slope of the
+    # lower degree comes from its own call
     with CTX.workdps():
         t = mp.mpf(3) / 7
-        v1, d1, v0, d0 = shifted_legendre(1, t)
+        v1, d1, v0 = shifted_legendre(1, t)
         assert abs(v1 - (2 * t - 1)) < CTX.identity_tol
         assert abs(d1 - 2) < CTX.identity_tol
-        assert v0 == 1 and abs(d0) < CTX.identity_tol
-        v2, d2, v1, d1 = shifted_legendre(2, t)
+        assert v0 == 1 and shifted_legendre(0, t) == (1, 0, 0)
+        v2, d2, v1 = shifted_legendre(2, t)
         assert abs(v2 - (6 * t ** 2 - 6 * t + 1)) < CTX.identity_tol
         assert abs(d2 - (12 * t - 6)) < CTX.identity_tol
         assert abs(v1 - (2 * t - 1)) < CTX.identity_tol
-        assert abs(d1 - 2) < CTX.identity_tol
+        assert abs(shifted_legendre(1, t)[1] - 2) < CTX.identity_tol
 
 
 def _legendre_reference(k, t):
@@ -48,9 +49,10 @@ def test_shifted_legendre_matches_mpmath(n):
         for t in (mp.mpf(0), mp.mpf(1) / 2, mp.mpf(1), mp.mpf(1) / 7,
                   mp.mpf(3) / 10, mp.mpf(9) / 10, mp.mpf(999) / 1000):
             got = shifted_legendre(n, t)
-            (v1, d1), (v0, d0) = (_legendre_reference(n, t),
-                                  _legendre_reference(n - 1, t))
-            for x, want in zip(got, (v1, d1, v0, d0)):
+            v1, d1 = _legendre_reference(n, t)
+            v0 = mp.legendre(n - 1, 2 * t - 1)
+            assert len(got) == 3
+            for x, want in zip(got, (v1, d1, v0)):
                 assert abs(x - want) <= tol * max(1, abs(want))
             if not 0 < t < 1:
                 continue
@@ -71,8 +73,7 @@ def test_shifted_legendre_matches_mpmath(n):
                     1, abs(want))
         for t, x in ((mp.mpf(0), -1), (mp.mpf(1), 1)):
             assert shifted_legendre(n, t) == (
-                x ** n, x ** (n + 1) * n * (n + 1),
-                x ** (n - 1), x ** n * (n - 1) * n)
+                x ** n, x ** (n + 1) * n * (n + 1), x ** (n - 1))
 
 
 @pytest.mark.parametrize("n, family, iterations", [
@@ -93,8 +94,9 @@ def test_node_solve_evaluation_count(monkeypatch, n, family, iterations):
 
     def check(*args):
         in_check.append(True)
-        check_roots(*args)
+        slopes = check_roots(*args)
         in_check.clear()
+        return slopes
 
     newton_correction, check_roots = (basis._newton_correction,
                                       basis._check_roots)
@@ -125,8 +127,8 @@ def _mpf_newton_nodes(n, family, dps):
                 starts = [1 - g for g in starts]
 
         def f(tau):
-            v1, d1, v0, d0 = shifted_legendre(n1, tau)
-            return v1 + sign * v0, d1 + sign * d0
+            v1, d1, v0 = shifted_legendre(n1, tau)
+            return v1 + sign * v0, d1 + sign * shifted_legendre(n, tau)[1]
 
         eps, roots = mp.mpf(10) ** (-(dps - 5)), []
         for tau in starts:
@@ -182,6 +184,39 @@ def test_root_check_rejects_a_root_off_by_half_the_bits(monkeypatch, family):
         compute_nodes(6, family, make_context(120))
     # every root is solved before the check; a Radau endpoint needs none
     assert len(solved) == (7 if family == "gauss-legendre" else 6)
+
+
+@pytest.mark.parametrize("past", [5, 10, 20])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_root_check_rejects_a_root_that_lost_its_guard_digits(
+        monkeypatch, family, past):
+    # at 120 digits the N=6 nodes carry 142 working digits; a root off by
+    # 10^-(120 + past) keeps the user's digits but not the guard digits
+    # the working precision promises, and the check bounds the residual
+    # at that precision
+    solve_root, solved = basis._solve_root, []
+
+    def off(n1, sign, guess, prec):
+        solved.append(guess)
+        root = solve_root(n1, sign, guess, prec)
+        return root + mp.mpf(10) ** -(120 + past) if len(solved) == 1 else root
+
+    monkeypatch.setattr(basis, "_solve_root", off)
+    with pytest.raises(RootConvergenceError, match="residual"):
+        compute_nodes(6, family, make_context(120))
+
+
+@pytest.mark.parametrize("digits", [30, 120, 500])
+def test_root_check_accepts_every_family_and_degree(digits):
+    # the integer solve's nodes pass the tightened check, with its slopes
+    # P~'_{N+1} at them, for every degree the CLI takes
+    ctx = make_context(digits)
+    for family in FAMILIES:
+        for n in range(25):
+            tau, slopes = basis._nodes_and_slopes(n, family, ctx)
+            assert len(tau) == len(slopes) == n + 1
+            with mp.workdps(work_digits(ctx, n)):
+                assert slopes == [shifted_legendre(n + 1, t)[1] for t in tau]
 
 
 def test_node_solve_gives_up_at_its_iteration_cap(monkeypatch):
@@ -367,6 +402,21 @@ def test_weights_n1_are_half():
     with CTX.workdps():
         assert abs(w[0] - mp.mpf(1) / 2) < CTX.identity_tol
         assert abs(w[1] - mp.mpf(1) / 2) < CTX.identity_tol
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_gauss_basis_takes_the_rule_weights_bit_for_bit(n):
+    # make_basis reads the Gauss rule's own weights; compute_weights would
+    # return the same bits, and so would the closed form with a second
+    # shifted_legendre pass in place of the root check's slopes
+    ctx = make_context(120)
+    b = make_basis(n, "gauss-legendre", ctx)
+    tau, w = gauss_rule(n, ctx)
+    assert b.tau == tau and b.w == w
+    assert compute_weights(tau, b.lam, ctx) == w
+    with mp.workdps(work_digits(ctx, n)):
+        assert w == tuple(1 / (t * (1 - t) * shifted_legendre(n + 1, t)[1] ** 2)
+                          for t in tau)
 
 
 def test_weights_reject_nodes_off_the_rule():

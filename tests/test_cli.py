@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import os
+import random
 import shlex
+import sys
 
 import mpmath as mp
 import pytest
@@ -40,6 +43,39 @@ def test_degree_zero_verifies_and_round_trips(family, tmp_path, capsys):
     assert run("tableau", "0", "--family", family, "--digits", "60",
                "--format", "json", "--out", path) == 0
     assert run("tableau", "--check", path, "--digits", "60") == 0
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench")
+
+
+def _bench_module(name):
+    # a bench/ script loaded from its file, so the test runs the
+    # benchmark's own commands and summary, not a copy of them
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_verify_rows_match_the_benchmark_golden(tmp_path, monkeypatch, capsys):
+    # each verify command of the verify-tableau workload prints exactly
+    # the row labels, and fails exactly the rows, of bench/golden.json: a
+    # renamed, added or dropped row fails here before the benchmark.
+    # bench/run.py adds itself to sys.path; bench/ gets no bytecode
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    bench = _bench_module("run")
+    with open(bench.GOLDEN) as fh:
+        golden = json.load(fh)
+    cmds, _ = bench.verify_tableau(random.Random(0), str(tmp_path))
+    verify = {label: argv for label, argv in cmds if label.startswith("verify:")}
+    assert set(verify) == {k for k in golden if k.startswith("verify:")}
+    for label, argv in sorted(verify.items()):
+        assert main(argv) == 0
+        assert bench.checks.summarize_verify(capsys.readouterr().out) \
+            == golden[label], label
 
 
 def test_verify_rejects_degree_above_cap(capsys):

@@ -4,11 +4,14 @@ from dataclasses import replace
 import mpmath as mp
 import pytest
 
+from aderdg import linalg
 from aderdg.arith import make_context
+from aderdg.basis import FAMILIES
 from aderdg.tableau import (ImportVerificationError, TableauError, build_q_m,
                             build_tableau, check_simplifying, export_tableau,
                             import_tableau, pade_exp, pade_exp_coefficients,
-                            stability_function, verify_lemma21)
+                            simplifying_residuals, stability_function,
+                            verify_lemma21)
 
 CTX = make_context(60)
 
@@ -100,6 +103,64 @@ def test_kappa_matches_monomial_reference(n, family):
 def test_coupling_identities_all_families(n, family):
     tab = _tab(n, family)
     assert max(verify_lemma21(tab, CTX)) <= CTX.identity_tol
+
+
+def _perturbed(tab, key, p, q, delta):
+    # tab with entry (p, q) of its a or kappa raised by delta
+    rows = [list(row) for row in getattr(tab, key)]
+    with mp.workdps(tab.basis.work_dps):
+        rows[p][q] += delta
+    return replace(tab, **{key: tuple(tuple(row) for row in rows)})
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [0, 3, 8])
+def test_lemma21_sees_every_entry_of_a_and_kappa(n, family):
+    # relations 0 and 1 read kappa^-1 psi from a, relation 3 reads a, and
+    # 2, 4 and 5 read kappa: an error of 100 identity tolerances in any
+    # one entry of a fails 0, 1 or 3 and leaves 2, 4 and 5 alone, and the
+    # other way round for kappa.  Every entry of a enters 0, 1 or 3 with a
+    # weight psi_q / w_q or psi~_p of at least 1/9 here (radau-left, N=8),
+    # so 100 tolerances stand clear of the rounding floor
+    ctx = make_context(120)
+    tab = _tab(n, family, ctx)
+    tol = ctx.identity_tol
+    delta = 100 * tol
+    for p in range(n + 1):
+        for q in range(n + 1):
+            r = verify_lemma21(_perturbed(tab, "a", p, q, delta), ctx)
+            assert max(r[0], r[1], r[3]) > tol
+            assert max(r[2], r[4], r[5]) <= tol
+            r = verify_lemma21(_perturbed(tab, "kappa", p, q, delta), ctx)
+            assert max(r[2], r[4], r[5]) > tol
+            assert max(r[0], r[1], r[3]) <= tol
+
+
+def _c_residual(tab, order):
+    # the C(order) residual as one max over every power and row, each sum
+    # one linalg.dot of a row of a with the tabulated powers
+    b, n1 = tab.basis, tab.stages
+    with mp.workdps(b.work_dps):
+        pw = [[mp.mpf(1)] * n1]
+        for _ in range(order):
+            pw.append([c * t for c, t in zip(pw[-1], b.tau)])
+        return max(abs(linalg.dot(tab.a[p], pw[r]) - pw[r + 1][p] / (r + 1))
+                   for r in range(order) for p in range(n1))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_c_pass_gives_c_n_and_c_n1_bit_for_bit(family):
+    # the verify command takes C(N) as the max of the first N rows of the
+    # C(N+1) pass; both residuals keep the bits of a pass of their own
+    ctx = make_context(120)
+    for n in range(1, 13):
+        tab = _tab(n, family, ctx)
+        rows = simplifying_residuals(tab, "C", n + 1, ctx)
+        assert len(rows) == n + 1
+        assert max(rows[:n]) == _c_residual(tab, n) \
+            == check_simplifying(tab, "C", n, ctx)
+        assert max(rows) == _c_residual(tab, n + 1) \
+            == check_simplifying(tab, "C", n + 1, ctx)
 
 
 def test_row_sums_of_a_are_nodes():
