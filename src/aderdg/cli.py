@@ -14,7 +14,7 @@ import mpmath as mp
 from .analysis import (AnalysisError, SweepError, convergence_study,
                        format_order_table, format_raw_errors,
                        interface_identity_residual)
-from .arith import ArithError, make_context
+from .arith import MIN_DIGITS, ArithError, make_context
 from .basis import FAMILIES, BasisError
 from .problems import ProblemError, catalog_lookup
 from .solver import SolverError, eval_local, integrate
@@ -214,18 +214,24 @@ def cmd_verify(args):
     checks.append(("Q dyadic structure", qm.q_residual, qm.q_residual <= tol))
     checks.append(("M dyadic structure", qm.m_residual, qm.m_residual <= tol))
 
+    # each R(z) row runs at the digits its check resolves: 1 + z w^T x
+    # cancels ~8 of MIN_DIGITS + 10 at z = -1e8, leaving more than the 20
+    # printed; the Pade row's rounding floor sits ~20 decades below its tol
     with ctx.workdps(10):
-        r_inf = abs(stability_function(tab, -mp.mpf(10) ** 8, ctx))
+        r_inf = abs(stability_function(tab, -mp.mpf(10) ** 8,
+                                       make_context(MIN_DIGITS)))
         damp_ok = r_inf <= mp.mpf(n + 1) / mp.mpf(10) ** 8
     checks.append(("stiff damping |R(-1e8)|", r_inf, bool(damp_ok)))
     if args.family == "gauss-legendre":
-        pade_tol = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
+        d = ctx.decimal_digits
+        pade_tol = mp.mpf(10) ** (-(d // 2))
+        pade_ctx = make_context(max(MIN_DIGITS, d // 2 + 10))
         with ctx.workdps(10):
             dev = mp.mpf(0)
             # z = 1 is the pole of the N = 0 approximant 1/(1 - z)
             for z in (mp.mpf(1) / 2, mp.mpf(-2), mp.mpc(0, 3), mp.mpc(-1, 1)):
-                rv = stability_function(tab, z, ctx)
-                pv = pade_exp(n, z, ctx)
+                rv = stability_function(tab, z, pade_ctx)
+                pv = pade_exp(n, z, pade_ctx)
                 dev = max(dev, abs(rv - pv) / abs(pv))
         checks.append(("R(z) matches subdiagonal Pade", dev, dev <= pade_tol))
 
@@ -335,6 +341,7 @@ def cmd_stability(args):
                   mp.mpf(-10), mp.mpf(-1), mp.mpc(0, 1), mp.mpc(0, 10),
                   mp.mpc(-1, 1), mp.mpf(1) / 2]
         rows = []
+        # the user's digits, unlike verify: it prints their rounding floor
         for z in zs:
             rv = stability_function(tab, z, ctx)
             pv = pade_exp(tab.n, z, ctx)

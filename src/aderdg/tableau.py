@@ -8,6 +8,7 @@ conditions, dyadic stability structure, the rational stability function)
 is checked numerically here.
 """
 
+import functools
 import json
 from dataclasses import dataclass, replace
 
@@ -207,7 +208,10 @@ def build_q_m(tab, ctx):
 
 
 def stability_function(tab, z, ctx):
-    """One-step amplification factor R(z) = 1 + z w^T (I - z a)^{-1} 1."""
+    """One-step amplification factor R(z) = 1 + z w^T (I - z a)^{-1} 1.
+
+    Runs at ctx's digits + 10, whatever digits tab was built at, so a
+    caller sizes ctx to what it checks."""
     n1 = tab.stages
     with ctx.workdps(10):
         z = mp.mpc(z) if (isinstance(z, complex) or isinstance(z, mp.mpc)) else mp.mpf(z)
@@ -222,6 +226,7 @@ def stability_function(tab, z, ctx):
         return 1 + z * mp.fsum(wp * xp for wp, xp in zip(tab.basis.w, x))
 
 
+@functools.lru_cache(maxsize=32)
 def pade_exp_coefficients(n, ctx):
     """Closed-form coefficients of the (n, n+1) Pade approximant of exp.
 

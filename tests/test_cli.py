@@ -4,13 +4,17 @@ import os
 import random
 import shlex
 import sys
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
 
+from aderdg import cli
+from aderdg.basis import FAMILIES
 from aderdg.cli import build_parser, main
-from aderdg.tableau import build_tableau, export_tableau, stability_function
-from aderdg.arith import make_context
+from aderdg.tableau import (build_q_m, build_tableau, export_tableau,
+                            stability_function)
+from aderdg.arith import MIN_DIGITS, make_context
 
 
 def run(*argv):
@@ -76,6 +80,74 @@ def test_verify_rows_match_the_benchmark_golden(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0
         assert bench.checks.summarize_verify(capsys.readouterr().out) \
             == golden[label], label
+
+
+DAMP = "stiff damping |R(-1e8)|"
+PADE = "R(z) matches subdiagonal Pade"
+
+
+def _verify_bent(monkeypatch, capsys, digits, delta):
+    # verify 4's JSON rows for the tableau with a_00 raised by delta; the
+    # dyadic check would raise before the R(z) rows, so build_q_m returns
+    # the unperturbed tableau's result
+    ctx = make_context(digits)
+    tab = build_tableau(4, "gauss-legendre", ctx)
+    qm = build_q_m(tab, ctx)
+    a = [list(row) for row in tab.a]
+    with mp.workdps(tab.basis.work_dps):
+        a[0][0] += delta
+    bent = replace(tab, a=tuple(tuple(row) for row in a))
+    monkeypatch.setattr(cli, "build_tableau", lambda n, family, c: bent)
+    monkeypatch.setattr(cli, "build_q_m", lambda t, c: qm)
+    assert run("verify", "4", "--digits", str(digits), "--format", "json") == 2
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("digits", [120, 500])
+def test_verify_r_rows_keep_their_verdicts(digits, monkeypatch, capsys):
+    # the verdicts a full-digit evaluation of R(z) gives: the Pade row
+    # resolves an error in a within 3 decades of its 10^-(d//2), and the
+    # damping row sees one of 1e-4
+    half = digits // 2
+    with mp.workdps(digits + 10):
+        coarse, fine = mp.mpf(10) ** -(half - 3), mp.mpf(10) ** -(half + 3)
+        big = mp.mpf("1e-4")
+    rows = _verify_bent(monkeypatch, capsys, digits, coarse)
+    assert rows[PADE]["pass"] is False and rows[DAMP]["pass"] is True
+    rows = _verify_bent(monkeypatch, capsys, digits, fine)
+    assert rows[PADE]["pass"] is True and rows[DAMP]["pass"] is True
+    rows = _verify_bent(monkeypatch, capsys, digits, big)
+    assert rows[DAMP]["pass"] is False
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [0, 5, 12])
+def test_verify_damping_residual_matches_full_digits(n, family, capsys):
+    # the 40-digit evaluation prints the same 20 digits as one at d + 10
+    assert run("verify", str(n), "--family", family, "--digits", "120",
+               "--format", "json") == 0
+    rows = json.loads(capsys.readouterr().out)
+    ctx = make_context(120)
+    tab = build_tableau(n, family, ctx)
+    assert rows[DAMP]["residual"] \
+        == mp.nstr(abs(stability_function(tab, -1e8, ctx)), 20)
+
+
+@pytest.mark.parametrize("n, digits", [(0, 40), (4, 120), (4, 500)])
+def test_verify_sizes_each_r_row_to_its_check(n, digits, monkeypatch, capsys):
+    # the damping row at MIN_DIGITS, the four Pade points at about d/2 + 10,
+    # never the user's d; 40 digits is the least any degree verifies at
+    seen = []
+
+    def recording(tab, z, ctx):
+        seen.append(ctx.decimal_digits)
+        return stability_function(tab, z, ctx)
+
+    monkeypatch.setattr(cli, "stability_function", recording)
+    assert run("verify", str(n), "--digits", str(digits),
+               "--format", "json") == 0
+    pade = min(digits, max(MIN_DIGITS, digits // 2 + 10))
+    assert seen == [MIN_DIGITS] + [pade] * 4
 
 
 def test_verify_rejects_degree_above_cap(capsys):

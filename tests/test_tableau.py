@@ -270,6 +270,21 @@ def test_pade_series_match():
                 assert abs(conv - target) < CTX.identity_tol
 
 
+def test_pade_coefficients_are_cached_per_degree_and_context():
+    pade_exp_coefficients.cache_clear()
+    first = pade_exp_coefficients(5, CTX)
+    # an equal context built again shares the entry
+    assert pade_exp_coefficients(5, make_context(CTX.decimal_digits)) is first
+    other = pade_exp_coefficients(5, make_context(CTX.decimal_digits + 40))
+    assert pade_exp_coefficients(5, make_context(CTX.decimal_digits + 40)) is other
+    info = pade_exp_coefficients.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+    # 5/11 is num[1]: the second context rounds it at its own digits
+    assert other[0][1] != first[0][1]
+    with mp.workdps(CTX.decimal_digits + 50):
+        assert abs(other[0][1] - mp.mpf(5) / 11) < mp.mpf(10) ** -105
+
+
 def test_stability_matches_pade_samples():
     for n in (1, 3, 6):
         tab = _tab(n)
