@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .basis import eval_basis, gauss_rule
+from .basis import eval_basis, quadrature_rule
 from .problems import build_oracle_reference
 from .solver import combine_basis, integrate
 from .tableau import build_tableau
@@ -234,7 +234,7 @@ def _local_errors(traj, reference, ctx):
     # continuous norms of the local solution; the Gauss points and the
     # sup-norm samples sit at the same tau in every interval, so their
     # basis values are tabulated once
-    qtau, qw = gauss_rule(tab.n + 7, ctx)
+    qtau, qw = quadrature_rule(tab.n + 7, "gauss-legendre", ctx)
     tau, lam = basis.tau, basis.lam
     q_basis = [eval_basis(tau, lam, tq) for tq in qtau]
     s_basis = [eval_basis(tau, lam, mp.mpf(i) / (SUP_SAMPLES - 1))

@@ -3,11 +3,11 @@
 Nodes are roots of the shifted Legendre polynomial of degree N+1
 (gauss-legendre family) or of its Radau combinations, solved by Newton's
 method on integers in fixed point with precision doubling; the mpf
-recurrence at the working digits checks every root.  The basis is kept
-in nodal form only: the nodes, their barycentric weights lam and the
-quadrature weights w.  Values come from the barycentric formula, weights
-from the closed-form Gauss rule, which integrates every basis polynomial
-exactly (Berrut & Trefethen, SIAM Rev. 46(3), 2004).
+recurrence at the working digits checks every root and, in the same
+pass, gives every family's quadrature weights in closed form.  The basis
+is kept in nodal form only: the nodes, their barycentric weights lam and
+the quadrature weights w.  Values come from the barycentric formula
+(Berrut & Trefethen, SIAM Rev. 46(3), 2004).
 """
 
 import functools
@@ -142,42 +142,47 @@ def _initial_guesses(n1, family):
         return right if family == "radau-right" else [1 - g for g in right]
 
 
-def compute_nodes(n, family, ctx):
-    """Ascending nodes of the degree-N basis, (N+1) of them, in [0, 1].
+@functools.lru_cache(maxsize=32)
+def quadrature_rule(n, family, ctx):
+    """Ascending nodes of the degree-N basis, (N+1) of them in [0, 1], and
+    the weights of the family's (N+1)-point quadrature rule on them.
 
-    Each is solved by _solve_root, in integer fixed point with precision
-    doubling, from its asymptotic zero; a Radau endpoint (1 or 0) is an
-    exact root, as P~_k(1) = 1 and P~_k(0) = (-1)^k.  _check_roots, the
-    mpf shifted_legendre at the working digits, is the acceptance check;
-    it also rejects two starts that converge to one root.
+    Each interior node is solved by _solve_root, in integer fixed point
+    with precision doubling, from its asymptotic zero; a Radau endpoint
+    (1 or 0) is an exact root, as P~_k(1) = 1 and P~_k(0) = (-1)^k.
+    _check_roots, the mpf shifted_legendre at the working digits, accepts
+    the nodes and gives the weights from the same pass; they are checked
+    on the moments the rule integrates exactly, degree 2N+1 for Gauss and
+    2N for Radau.
     """
-    return _nodes_and_slopes(n, family, ctx)[0]
-
-
-def _nodes_and_slopes(n, family, ctx):
-    """compute_nodes' nodes and the slopes P~'_{N+1} at them, from the
-    root check's pass at the working digits."""
     if n < 0:
         raise BasisError("degree must be nonnegative")
-    n1 = n + 1
     if family not in FAMILIES:
         raise BasisError(f"unknown node family: {family!r}")
-    sign = _SIGN[family]
+    n1, sign = n + 1, _SIGN[family]
     with mp.workdps(work_digits(ctx, n)):
         ends = {"radau-right": [mp.mpf(1)], "radau-left": [mp.mpf(0)]}
-        roots = sorted(ends.get(family, []) + [
+        roots = tuple(sorted(ends.get(family, []) + [
             _solve_root(n1, sign, g, mp.mp.prec)
-            for g in _initial_guesses(n1, family)])
-        return tuple(roots), _check_roots(roots, n1, sign)
+            for g in _initial_guesses(n1, family)]))
+        w = _check_roots(roots, n1, sign)
+        _check_moments(roots, w, 2 * n + 1 - abs(sign), ctx)
+    return roots, w
 
 
 def _check_roots(roots, n1, sign):
     """Accept roots of f = P~_{N+1} + sign P~_N at the ambient precision
-    and return the slopes P~'_{N+1} there.  At a root inside (0, 1),
+    and return the quadrature weights there.  At a root inside (0, 1),
     f' = (1 + |sign|) P~'_{N+1} (A&S 22.8.5), so |f / P~'_{N+1}| is within
-    a factor 2 of the distance to the root; it may be 2^(CHECK_BITS - prec)."""
+    a factor 2 of the distance to the root; it may be 2^(CHECK_BITS - prec).
+
+    The weights are Abramowitz & Stegun 25.4.29 (Gauss) and 25.4.31
+    (Radau) mapped to [0, 1]: w = 1 / (tau (1 - tau) P~'_{N+1}^2), and
+    w = tau / ((N+1) P~_N)^2 for radau-right, (1 - tau) / ((N+1) P~_N)^2
+    for radau-left, which gives the endpoint its 1 / (N+1)^2.
+    """
     bound = mp.ldexp(1, CHECK_BITS - mp.mp.prec)
-    slopes = []
+    w = []
     for t in roots:
         if not 0 <= t <= 1:
             raise BasisError(f"node {mp.nstr(t, 10)} outside [0, 1]")
@@ -186,11 +191,12 @@ def _check_roots(roots, n1, sign):
         if res > lim:
             raise RootConvergenceError(
                 f"node residual {mp.nstr(res, 5)} above {mp.nstr(lim, 3)}")
-        slopes.append(d1)
+        w.append(1 / (t * (1 - t) * d1 ** 2) if not sign
+                 else (t if sign < 0 else 1 - t) / (n1 * v0) ** 2)
     for a, b in zip(roots, roots[1:]):
         if not a < b:
             raise BasisError("nodes not strictly ascending")
-    return slopes
+    return tuple(w)
 
 
 def barycentric_weights(tau, ctx):
@@ -231,53 +237,14 @@ def _check_moments(tau, w, top, ctx):
             f"by {mp.nstr(dev, 5)}")
 
 
-@functools.lru_cache(maxsize=32)
-def gauss_rule(n, ctx):
-    """Nodes and weights of the (n+1)-point Gauss-Legendre rule on [0, 1].
-
-    w_p = 1 / (tau_p (1 - tau_p) P~'_{n+1}(tau_p)^2), the closed form of
-    Abramowitz & Stegun 25.4.29 mapped to [0, 1], with the slopes of the
-    root check; checked on the moments the rule integrates exactly,
-    degree 2n+1 and below.
-    """
-    tau, slopes = _nodes_and_slopes(n, "gauss-legendre", ctx)
-    with mp.workdps(work_digits(ctx, n)):
-        w = tuple(1 / (t * (1 - t) * s ** 2) for t, s in zip(tau, slopes))
-        _check_moments(tau, w, 2 * n + 1, ctx)
-    return tau, w
-
-
-def compute_weights(tau, lam, ctx):
-    """Quadrature weights w_p = int l_p over [0, 1] for the nodes tau and
-    their barycentric weights lam.
-
-    l_p has degree N, so the (N+1)-point Gauss rule integrates it exactly;
-    on the Gauss nodes the l_p values are Kronecker deltas and w is the
-    Gauss weights themselves.  Every family's rule integrates degree 2N,
-    which is checked on the monomials 1, tau, ..., tau^{2N}.
-    """
-    n = len(tau) - 1
-    g_tau, g_w = gauss_rule(n, ctx)
-    with mp.workdps(work_digits(ctx, n)):
-        vals = [eval_basis(tau, lam, t) for t in g_tau]
-        w = tuple(mp.fsum(g * v[p] for g, v in zip(g_w, vals))
-                  for p in range(n + 1))
-        _check_moments(tau, w, 2 * n, ctx)
-        return w
-
-
 def make_basis(n, family, ctx):
-    """Build and validate the full nodal basis for degree n; lam and the
-    boundary traces psi_p = l_p(0), psi~_p = l_p(1) follow from the nodes."""
+    """Build and validate the full nodal basis for degree n: the nodes and
+    weights of the family's quadrature_rule, whose weights are w_p = int l_p
+    as the rule integrates the degree-N l_p exactly; lam and the boundary
+    traces psi_p = l_p(0), psi~_p = l_p(1) follow from the nodes."""
     require_conditioning(n, ctx)
-    # the Gauss rule's own weights are the bits compute_weights would return
-    if family == "gauss-legendre":
-        tau, w = gauss_rule(n, ctx)
-        lam = barycentric_weights(tau, ctx)
-    else:
-        tau = compute_nodes(n, family, ctx)
-        lam = barycentric_weights(tau, ctx)
-        w = compute_weights(tau, lam, ctx)
+    tau, w = quadrature_rule(n, family, ctx)
+    lam = barycentric_weights(tau, ctx)
     dps = work_digits(ctx, n)
     tol = ctx.identity_tol
     with mp.workdps(dps):

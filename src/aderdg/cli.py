@@ -240,13 +240,13 @@ def cmd_verify(args):
     ok = True
     for lbl, val, passed in checks:
         ok = ok and passed
-        lines.append(sep.join([lbl, mp.nstr(mp.mpf(val), 5),
+        lines.append(sep.join([lbl, mp.nstr(val, 5),
                                "pass" if passed else "FAIL"]))
     if args.family == "gauss-legendre":
         lines.append(sep.join(["stage order C(N+1) residual (expected > 0)",
                                mp.nstr(cn1, 5), "info"]))
     if args.format == "json":
-        doc = {lbl: {"residual": mp.nstr(mp.mpf(val), 20), "pass": passed}
+        doc = {lbl: {"residual": mp.nstr(val, 20), "pass": passed}
                for lbl, val, passed in checks}
         _emit(json.dumps(doc, indent=1), args.out)
     else:

@@ -6,12 +6,32 @@ import pytest
 from aderdg.arith import make_context
 from aderdg import basis
 from aderdg.basis import (FAMILIES, BasisError, RootConvergenceError,
-                          barycentric_weights, compute_nodes,
-                          compute_weights, eval_basis, gauss_rule,
-                          make_basis, require_conditioning,
+                          barycentric_weights, eval_basis, make_basis,
+                          quadrature_rule, require_conditioning,
                           shifted_legendre, work_digits)
 
 CTX = make_context(60)
+
+
+@pytest.fixture
+def fresh_rule():
+    # quadrature_rule is cached per (n, family, ctx): a test that patches
+    # the solve it runs needs a miss, and leaves no patched rule behind
+    quadrature_rule.cache_clear()
+    yield
+    quadrature_rule.cache_clear()
+
+
+def _interpolatory_weights(tau, rule, ctx):
+    """w_p = int l_p over [0, 1] for the nodes tau, summed by the rule
+    (nodes, weights), which must integrate degree N exactly: the
+    arithmetic the Radau weights came from before their closed form."""
+    n = len(tau) - 1
+    lam = barycentric_weights(tau, ctx)
+    with mp.workdps(work_digits(ctx, n)):
+        vals = [eval_basis(tau, lam, t) for t in rule[0]]
+        return tuple(mp.fsum(g * v[p] for g, v in zip(rule[1], vals))
+                     for p in range(n + 1))
 
 
 def test_shifted_legendre_low_degrees():
@@ -78,7 +98,8 @@ def test_shifted_legendre_matches_mpmath(n):
 
 @pytest.mark.parametrize("n, family, iterations", [
     (12, "gauss-legendre", 113), (6, "radau-right", 55)])
-def test_node_solve_evaluation_count(monkeypatch, n, family, iterations):
+def test_node_solve_evaluation_count(monkeypatch, fresh_rule, n, family,
+                                     iterations):
     # the integer solve makes every Newton evaluation, and a change that
     # doubles its work breaks the pin; the mpf shifted_legendre runs once
     # per node, all of them in the _check_roots acceptance check
@@ -94,16 +115,16 @@ def test_node_solve_evaluation_count(monkeypatch, n, family, iterations):
 
     def check(*args):
         in_check.append(True)
-        slopes = check_roots(*args)
+        w = check_roots(*args)
         in_check.clear()
-        return slopes
+        return w
 
     newton_correction, check_roots = (basis._newton_correction,
                                       basis._check_roots)
     monkeypatch.setattr(basis, "shifted_legendre", counted)
     monkeypatch.setattr(basis, "_newton_correction", correction)
     monkeypatch.setattr(basis, "_check_roots", check)
-    compute_nodes(n, family, make_context(500))
+    quadrature_rule(n, family, make_context(500))
     assert seen == [(n + 1, True)] * (n + 1)
     assert len(steps) == iterations and set(steps) == {n + 1}
 
@@ -154,7 +175,7 @@ def test_nodes_match_mpf_newton_at_twice_the_digits(family, n, digits):
     # every case here); the Radau endpoints are exact
     ctx = make_context(digits)
     dps = work_digits(ctx, n)
-    tau = compute_nodes(n, family, ctx)
+    tau = quadrature_rule(n, family, ctx)[0]
     ref = _mpf_newton_nodes(n, family, 2 * dps)
     with mp.workdps(dps):
         prec = mp.mp.prec
@@ -169,7 +190,8 @@ def test_nodes_match_mpf_newton_at_twice_the_digits(family, n, digits):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_root_check_rejects_a_root_off_by_half_the_bits(monkeypatch, family):
+def test_root_check_rejects_a_root_off_by_half_the_bits(monkeypatch,
+                                                        fresh_rule, family):
     # _check_roots evaluates the mpf recurrence itself, so one root off by
     # 2^(-prec/2) fails it whatever the integer solve reports
     solve_root, solved = basis._solve_root, []
@@ -181,7 +203,7 @@ def test_root_check_rejects_a_root_off_by_half_the_bits(monkeypatch, family):
 
     monkeypatch.setattr(basis, "_solve_root", off)
     with pytest.raises(RootConvergenceError, match="residual"):
-        compute_nodes(6, family, make_context(120))
+        quadrature_rule(6, family, make_context(120))
     # every root is solved before the check; a Radau endpoint needs none
     assert len(solved) == (7 if family == "gauss-legendre" else 6)
 
@@ -189,7 +211,7 @@ def test_root_check_rejects_a_root_off_by_half_the_bits(monkeypatch, family):
 @pytest.mark.parametrize("past", [5, 10, 20])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_root_check_rejects_a_root_that_lost_its_guard_digits(
-        monkeypatch, family, past):
+        monkeypatch, fresh_rule, family, past):
     # at 120 digits the N=6 nodes carry 142 working digits; a root off by
     # 10^-(120 + past) keeps the user's digits but not the guard digits
     # the working precision promises, and the check bounds the residual
@@ -203,23 +225,32 @@ def test_root_check_rejects_a_root_that_lost_its_guard_digits(
 
     monkeypatch.setattr(basis, "_solve_root", off)
     with pytest.raises(RootConvergenceError, match="residual"):
-        compute_nodes(6, family, make_context(120))
+        quadrature_rule(6, family, make_context(120))
 
 
 @pytest.mark.parametrize("digits", [30, 120, 500])
 def test_root_check_accepts_every_family_and_degree(digits):
-    # the integer solve's nodes pass the tightened check, with its slopes
-    # P~'_{N+1} at them, for every degree the CLI takes
+    # the integer solve's nodes pass the tightened check, whose weights are
+    # the closed forms of a fresh shifted_legendre pass at them, for every
+    # degree the CLI takes
     ctx = make_context(digits)
     for family in FAMILIES:
         for n in range(25):
-            tau, slopes = basis._nodes_and_slopes(n, family, ctx)
-            assert len(tau) == len(slopes) == n + 1
+            tau, w = quadrature_rule(n, family, ctx)
+            assert len(tau) == len(w) == n + 1
             with mp.workdps(work_digits(ctx, n)):
-                assert slopes == [shifted_legendre(n + 1, t)[1] for t in tau]
+                want = []
+                for t in tau:
+                    v1, d1, v0 = shifted_legendre(n + 1, t)
+                    want.append(
+                        1 / (t * (1 - t) * d1 ** 2)
+                        if family == "gauss-legendre" else
+                        (t if family == "radau-right" else 1 - t)
+                        / ((n + 1) * v0) ** 2)
+                assert w == tuple(want)
 
 
-def test_node_solve_gives_up_at_its_iteration_cap(monkeypatch):
+def test_node_solve_gives_up_at_its_iteration_cap(monkeypatch, fresh_rule):
     # corrections that alternate past STOP_UNITS, as evaluation noise above
     # the stop size would, never end the iteration: it stops at the cap
     newton_correction, steps = basis._newton_correction, []
@@ -231,12 +262,12 @@ def test_node_solve_gives_up_at_its_iteration_cap(monkeypatch):
 
     monkeypatch.setattr(basis, "_newton_correction", noisy)
     with pytest.raises(RootConvergenceError, match="did not converge"):
-        compute_nodes(6, "gauss-legendre", make_context(120))
+        quadrature_rule(6, "gauss-legendre", make_context(120))
     assert len(steps) == basis.MAX_NEWTON_ROOT
 
 
 def test_nodes_n1_closed_form():
-    tau = compute_nodes(1, "gauss-legendre", CTX)
+    tau = quadrature_rule(1, "gauss-legendre", CTX)[0]
     with CTX.workdps():
         r3 = mp.sqrt(3) / 6
         assert abs(tau[0] - (mp.mpf(1) / 2 - r3)) < CTX.identity_tol
@@ -244,8 +275,8 @@ def test_nodes_n1_closed_form():
 
 
 def test_radau_nodes_n1_closed_form():
-    right = compute_nodes(1, "radau-right", CTX)
-    left = compute_nodes(1, "radau-left", CTX)
+    right = quadrature_rule(1, "radau-right", CTX)[0]
+    left = quadrature_rule(1, "radau-left", CTX)[0]
     with CTX.workdps():
         assert abs(right[0] - mp.mpf(1) / 3) < CTX.identity_tol
         assert right[1] == 1
@@ -281,8 +312,8 @@ def test_quadrature_exactness_monomials():
 
 def test_radau_left_mirrors_radau_right():
     for n in range(25):
-        right = compute_nodes(n, "radau-right", CTX)
-        left = compute_nodes(n, "radau-left", CTX)
+        right = quadrature_rule(n, "radau-right", CTX)[0]
+        left = quadrature_rule(n, "radau-left", CTX)[0]
         with CTX.workdps():
             assert max(abs(x - (1 - y)) for x, y in zip(left, right[::-1])) \
                 < CTX.identity_tol
@@ -306,7 +337,7 @@ RADAU_RIGHT_12 = (
 
 
 def test_radau_right_n12_pinned():
-    tau = compute_nodes(12, "radau-right", CTX)
+    tau = quadrature_rule(12, "radau-right", CTX)[0]
     with CTX.workdps():
         assert len(tau) == len(RADAU_RIGHT_12)
         for t, want in zip(tau, RADAU_RIGHT_12):
@@ -397,36 +428,76 @@ def test_eval_basis_matches_horner(n, family):
 
 
 def test_weights_n1_are_half():
-    tau = compute_nodes(1, "gauss-legendre", CTX)
-    w = compute_weights(tau, barycentric_weights(tau, CTX), CTX)
+    w = quadrature_rule(1, "gauss-legendre", CTX)[1]
     with CTX.workdps():
         assert abs(w[0] - mp.mpf(1) / 2) < CTX.identity_tol
         assert abs(w[1] - mp.mpf(1) / 2) < CTX.identity_tol
 
 
+def test_radau_weights_n1_closed_form():
+    # Radau IIA's b = (3/4, 1/4), the endpoint's 1/(N+1)^2 included, and
+    # its mirror image
+    right = quadrature_rule(1, "radau-right", CTX)[1]
+    left = quadrature_rule(1, "radau-left", CTX)[1]
+    with CTX.workdps():
+        assert abs(right[0] - mp.mpf(3) / 4) < CTX.identity_tol
+        assert right[1] == left[0] == mp.mpf(1) / 4
+        assert abs(left[1] - mp.mpf(3) / 4) < CTX.identity_tol
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_gauss_basis_takes_the_rule_weights_bit_for_bit(n):
-    # make_basis reads the Gauss rule's own weights; compute_weights would
-    # return the same bits, and so would the closed form with a second
-    # shifted_legendre pass in place of the root check's slopes
+    # make_basis reads the Gauss rule's own weights; the interpolatory
+    # weights on the rule itself return the same bits, and so does the
+    # closed form with a second shifted_legendre pass
     ctx = make_context(120)
     b = make_basis(n, "gauss-legendre", ctx)
-    tau, w = gauss_rule(n, ctx)
+    tau, w = quadrature_rule(n, "gauss-legendre", ctx)
     assert b.tau == tau and b.w == w
-    assert compute_weights(tau, b.lam, ctx) == w
+    assert _interpolatory_weights(tau, (tau, w), ctx) == w
     with mp.workdps(work_digits(ctx, n)):
         assert w == tuple(1 / (t * (1 - t) * shifted_legendre(n + 1, t)[1] ** 2)
                           for t in tau)
 
 
-def test_weights_reject_nodes_off_the_rule():
+@pytest.mark.parametrize("digits", [120, 500])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rule_weights_are_the_integrals_of_the_basis(family, digits):
+    # the closed-form weights against int l_p summed by the (N+2)-point
+    # Gauss rule, one point past the family's own so that on Gauss nodes
+    # the reference is not the rule itself; radau-left is the mirror
+    # image of radau-right, node for node and weight for weight
+    ctx = make_context(digits)
+    tol = ctx.identity_tol
+    for n in range(25):
+        tau, w = quadrature_rule(n, family, ctx)
+        ref = _interpolatory_weights(
+            tau, quadrature_rule(n + 1, "gauss-legendre", ctx), ctx)
+        with mp.workdps(work_digits(ctx, n)):
+            assert max(abs(x - y) for x, y in zip(w, ref)) <= tol
+            if family == "radau-left":
+                mirror = quadrature_rule(n, "radau-right", ctx)
+                for p in range(n + 1):
+                    assert abs(tau[p] - (1 - mirror[0][n - p])) <= tol
+                    assert abs(w[p] - mirror[1][n - p]) <= tol
+
+
+def test_weights_reject_nodes_off_the_rule(monkeypatch, fresh_rule):
     # interpolatory weights on perturbed Gauss nodes still integrate degree
-    # N, but miss the degree-2N moments every family's rule must reach
-    tau = list(compute_nodes(4, "gauss-legendre", CTX))
+    # N, but miss the degree-2N moments every family's rule must reach;
+    # the rule runs that check on the weights its root check returns
+    rule = quadrature_rule(4, "gauss-legendre", CTX)
+    tau = list(rule[0])
     with CTX.workdps():
         tau[2] += mp.mpf(10) ** -30
+    w = _interpolatory_weights(tau, rule, CTX)
+    with mp.workdps(work_digits(CTX, 4)):
+        with pytest.raises(BasisError, match="moment"):
+            basis._check_moments(tau, w, 8, CTX)
+    quadrature_rule.cache_clear()
+    monkeypatch.setattr(basis, "_check_roots", lambda *args: w)
     with pytest.raises(BasisError, match="moment"):
-        compute_weights(tuple(tau), barycentric_weights(tau, CTX), CTX)
+        quadrature_rule(4, "gauss-legendre", CTX)
 
 
 def test_make_basis_computes_barycentric_weights_once(monkeypatch):
@@ -452,9 +523,9 @@ def test_conditioning_guard():
 
 def test_bad_family_rejected():
     with pytest.raises(BasisError):
-        compute_nodes(2, "chebyshev", CTX)
+        quadrature_rule(2, "chebyshev", CTX)
 
 
 def test_negative_degree_rejected():
     with pytest.raises(BasisError):
-        compute_nodes(-1, "gauss-legendre", CTX)
+        quadrature_rule(-1, "gauss-legendre", CTX)
