@@ -27,17 +27,18 @@ ERROR_FIELDS = ("n_l1", "n_l2", "n_linf", "n_final",
                 "l_l1", "l_l2", "l_linf")
 
 
-# equispaced samples per interval for the continuous sup-norm, before
-# parabolic refinement around the best one (_parabolic_max)
-SUP_SAMPLES = 64
+# equispaced samples per interval that, with the N+8 Gauss points of l_l1
+# and l_l2, seed the sup-norm search (_parabolic_max): 24 matched a search
+# from 64 alone on 411 cells, M = 1 included; 16 missed a hump (README)
+SUP_SAMPLES = 24
 
 # digits past the grid-node errors' at which the local-solution norms are
 # evaluated (compute_errors).  The sup-norm refinement steps down to 1e-15
-# of a sample spacing, where the error's values differ by about 1e-30 of
-# themselves (_parabolic_max), so the guard must exceed 30 digits: at 20
-# and 28, harmonic N=2, M=4 at 500 digits took 371 and 339 reference calls
-# against 338 at the working precision; 36 to 44 changed no call count of
-# the 500-digit harmonic sweep.
+# of the first sample gap, where the error's values differ by about 1e-30
+# of themselves (_parabolic_max), so the guard must exceed 30 digits: at
+# 20 and 28, harmonic N=2, M=4 at 500 digits took 205 and 187 reference
+# calls against 182 at the working precision; 30 to 44 changed no call
+# count of the 500-digit harmonic sweep.
 ERROR_GUARD = 40
 
 
@@ -87,26 +88,26 @@ def _vertex(a, fa, x, fx, c, fc):
 
 
 def _parabolic_max(f, ts, vals):
-    """Largest value of f around the best of the samples vals = f(ts).
+    """Largest value of f around the best of vals = f(ts), ts ascending.
 
     Successive parabolic interpolation (Brent, Algorithms for Minimization
     without Derivatives, 1973, ch. 5), seeded with the best sample and its
     two neighbours.  The error's maxima are smooth inside an interval (|.|
     has kinks only at minima), so the vertex closes in on the maximum in a
     few steps and the value found is off by the square of the last step:
-    a step below 1e-15 of a sample spacing leaves a relative error near
-    1e-30.
+    a step below 1e-15 of the first sample gap leaves a relative error
+    near 1e-30.
 
     A best sample at an interval end is refined only if the parabola
     through the three end samples has its maximum inside the end gap and
     that point beats the end sample; otherwise the end sample is the
-    answer, at no extra evaluation.  With h the spacing and f2, f3 the
+    answer, at no extra evaluation.  With h the end gaps and f2, f3 the
     second and third derivatives, the parabola's slope at the end is f's
     to O(h^2 f3), so the test misses only a maximum within O(h^2 f3/f2)
     of the end, and the end sample lies below such a maximum by
-    O(h^4 f3^2/f2), fourth order in the spacing.  Checked against 40
+    O(h^4 f3^2/f2), fourth order in the gaps.  Checked against 40
     golden-section steps on 480 harmonic and pendulum intervals (N 1 to
-    12, 120 digits): no end gap held a value above its end sample.
+    12, 120 digits): 467 had an end best; no end gap beat the result.
     """
     k = len(ts) - 1
     best = max(range(k + 1), key=lambda i: vals[i])
@@ -155,8 +156,8 @@ def compute_errors(traj, reference, ctx):
     psi~^T qhat of the left interval at each later node, the end value
     that interface_identity_residual forms.  Continuous L1/L2 norms use a
     Gauss rule with N+8 points per interval; the continuous sup-norm is
-    sampled at SUP_SAMPLES equispaced points and polished by successive
-    parabolic interpolation around the best sample.
+    sampled there and at SUP_SAMPLES equispaced points, one reference call
+    each, and polished by successive parabolic interpolation.
 
     The eight grid-node errors (n_*, ln_*) are evaluated at the working
     precision.  The other six (lq_*, l_*), which need the reference away
@@ -231,14 +232,14 @@ def _local_errors(traj, reference, ctx):
         lq_linf = max(lq_linf, err)
     e["lq_l1"], e["lq_l2"], e["lq_linf"] = lq_l1, mp.sqrt(lq_l2), lq_linf
 
-    # continuous norms of the local solution; the Gauss points and the
-    # sup-norm samples sit at the same tau in every interval, so their
-    # basis values are tabulated once
+    # continuous norms from one sample set, tabulated once: the (N+8)-point
+    # Gauss rule, which alone carries l_l1 and l_l2, and SUP_SAMPLES
+    # equispaced points (weight None), all seeding the sup-norm search
     qtau, qw = quadrature_rule(tab.n + 7, "gauss-legendre", ctx)
+    grid = [(mp.mpf(i) / (SUP_SAMPLES - 1), None) for i in range(SUP_SAMPLES)]
+    samples = sorted([*zip(qtau, qw), *grid], key=lambda s: s[0])
     tau, lam = basis.tau, basis.lam
-    q_basis = [eval_basis(tau, lam, tq) for tq in qtau]
-    s_basis = [eval_basis(tau, lam, mp.mpf(i) / (SUP_SAMPLES - 1))
-               for i in range(SUP_SAMPLES)]
+    s_basis = [eval_basis(tau, lam, tq) for tq, _ in samples]
     l_l1 = l_l2 = l_linf = mp.mpf(0)
     for loc in traj.locals:
         # q-hat rounded once to the ambient digits, so that combine_basis
@@ -247,13 +248,12 @@ def _local_errors(traj, reference, ctx):
 
         def err(t, lvals):
             return _vec_err(combine_basis(lvals, qhat), reference(t))
-        for tq, wq, lvals in zip(qtau, qw, q_basis):
-            v = err(loc.t_n + tq * loc.dt_n, lvals)
-            l_l1 += loc.dt_n * wq * v
-            l_l2 += loc.dt_n * wq * v ** 2
-        ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (SUP_SAMPLES - 1)
-              for i in range(SUP_SAMPLES)]
+        ts = [loc.t_n + tq * loc.dt_n for tq, _ in samples]
         vals = [err(t, lvals) for t, lvals in zip(ts, s_basis)]
+        for (_, wq), v in zip(samples, vals):
+            if wq is not None:
+                l_l1 += loc.dt_n * wq * v
+                l_l2 += loc.dt_n * wq * v ** 2
         l_linf = max(l_linf, _parabolic_max(lambda t: err(
             t, eval_basis(tau, lam, (t - loc.t_n) / loc.dt_n)), ts, vals))
     e["l_l1"], e["l_l2"], e["l_linf"] = l_l1, mp.sqrt(l_l2), l_linf

@@ -9,7 +9,8 @@ from aderdg.analysis import (AnalysisError, SweepError, ZeroErrorFloor,
                              ERROR_FIELDS, ERROR_GUARD, ORDER_COLUMNS,
                              SUP_SAMPLES)
 from aderdg.arith import make_context
-from aderdg.problems import harmonic_oscillator, pendulum, polynomial_rhs
+from aderdg.problems import (catalog_lookup, harmonic_oscillator, pendulum,
+                             polynomial_rhs)
 from aderdg.solver import eval_local, integrate, stage_tol, trajectory_eval
 from aderdg.tableau import build_tableau
 
@@ -189,10 +190,15 @@ def _counted(f):
     return g, calls
 
 
+# equispaced samples per interval of the test's own searches, fixed here so
+# that they do not follow the library's SUP_SAMPLES
+GRID = 64
+
+
 def _refine(fn):
-    """_parabolic_max of fn from its SUP_SAMPLES samples on [0, 1], and the
+    """_parabolic_max of fn from GRID equispaced samples on [0, 1], and the
     points at which the refinement evaluated fn."""
-    ts = [mp.mpf(i) / (SUP_SAMPLES - 1) for i in range(SUP_SAMPLES)]
+    ts = [mp.mpf(i) / (GRID - 1) for i in range(GRID)]
     vals = [fn(t) for t in ts]
     f, calls = _counted(fn)
     return _parabolic_max(f, ts, vals), vals, calls
@@ -214,11 +220,10 @@ def test_parabolic_max_end_gap(end):
     # the end sample is the largest, but the maximum lies inside the end
     # gap (t0, t1) or (t62, t63)
     with CTX.workdps():
-        inset = mp.mpf(2) / 5 / (SUP_SAMPLES - 1)
+        inset = mp.mpf(2) / 5 / (GRID - 1)
         peak = abs(end - inset)
         value, vals, calls = _refine(lambda t: mp.cos(5 * (t - peak)))
-        assert max(range(SUP_SAMPLES), key=lambda i: vals[i]) in (
-            0, SUP_SAMPLES - 1)
+        assert max(range(GRID), key=lambda i: vals[i]) in (0, GRID - 1)
         assert abs(value - 1) < mp.mpf(10) ** -28
         assert 0 < len(calls) <= 42 // 2  # half of golden section's 42
 
@@ -254,19 +259,20 @@ def _golden_max(f, lo, hi, iters=40):
     return max(f1, f2)
 
 
-def _golden_linf(traj, reference):
+def _golden_linf(traj, reference, grid=GRID, iters=40):
+    """Sup-norm of the local-solution error: per interval, the best of grid
+    equispaced samples, polished by golden section between its neighbours."""
     basis = traj.tableau.basis
     out = mp.mpf(0)
     for loc in traj.locals:
         def err(t):
             return max(abs(a - b) for a, b in zip(eval_local(loc, basis, t),
                                                   reference(t)))
-        ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (SUP_SAMPLES - 1)
-              for i in range(SUP_SAMPLES)]
+        ts = [loc.t_n + loc.dt_n * mp.mpf(i) / (grid - 1) for i in range(grid)]
         vals = [err(t) for t in ts]
-        best = max(range(SUP_SAMPLES), key=lambda i: vals[i])
-        lo, hi = ts[max(best - 1, 0)], ts[min(best + 1, SUP_SAMPLES - 1)]
-        out = max(out, vals[best], _golden_max(err, lo, hi))
+        best = max(range(grid), key=lambda i: vals[i])
+        lo, hi = ts[max(best - 1, 0)], ts[min(best + 1, grid - 1)]
+        out = max(out, vals[best], _golden_max(err, lo, hi, iters))
     return out
 
 
@@ -285,11 +291,32 @@ def test_l_linf_matches_golden_section(n, family):
         assert abs(rep["l_linf"] / golden - 1) < mp.mpf(10) ** -18
 
 
+@pytest.mark.parametrize("spec, family, n", [
+    *[("harmonic", f, n) for f in ("gauss-legendre", "radau-right")
+      for n in range(5)],
+    ("poly:15:1", "gauss-legendre", 2)])
+def test_l_linf_matches_a_dense_search_on_one_interval(spec, family, n):
+    # one interval over the whole span is the least resolved cell: the
+    # error has several humps per interval, and the SUP_SAMPLES samples and
+    # N+8 Gauss points must still land next to the highest.  The dense
+    # search's 513 samples and 60 golden-section steps find the maximum to
+    # far below 1e-18.  With 16 samples in place of 24, harmonic N=1 found
+    # a lower hump (1.0849 against 1.1429)
+    entry = catalog_lookup(spec)
+    tab = build_tableau(n, family, CTX)
+    traj = integrate(tab, entry.problem, 1, CTX)
+    rep = compute_errors(traj, entry.problem.exact, CTX)
+    with CTX.workdps(10):
+        dense = _golden_linf(traj, entry.problem.exact, grid=513, iters=60)
+        assert abs(rep["l_linf"] / dense - 1) < mp.mpf(10) ** -18
+
+
 def test_reference_calls_per_interval():
-    # harmonic N=2, M=4 at 60 digits makes 338 reference calls: per
-    # interval 64 samples, N+8 = 10 Gauss points and N+1 = 3 stages, plus
-    # the M+1 = 5 grid nodes and 25 refinement steps in all.  The bound is
-    # 364; a fixed-length search breaks it (golden section made 481).
+    # harmonic N=2, M=4 at 60 digits makes 182 reference calls: per
+    # interval 24 samples, N+8 = 10 Gauss points and N+1 = 3 stages, plus
+    # the M+1 = 5 grid nodes and 29 refinement steps in all.  The bound is
+    # 204; a fixed-length search breaks it (golden section would make 321),
+    # and so does a second evaluation of the Gauss points (222).
     entry = harmonic_oscillator()
     n, m = 2, 4
     tab = build_tableau(n, "gauss-legendre", CTX)
@@ -322,14 +349,14 @@ def _node_error_digits(traj, exact, ctx):
             min(x for x in errs if x) / scale))))
 
 
-@pytest.mark.parametrize("n, m, calls", [(4, 8, 657), (2, 4, 338)])
+@pytest.mark.parametrize("n, m, calls", [(4, 8, 337), (2, 4, 182)])
 def test_local_norms_run_at_reduced_precision(n, m, calls, monkeypatch):
     # harmonic at 500 digits makes as many reference calls as when every
     # norm ran at the working precision: the M+1 grid-node calls at the
     # working 510 digits, the others at no more than ERROR_GUARD + d.  The
     # sup-norm refinement of N=2, M=4 meets an interior maximum; at a guard
-    # of 30 digits it took 341 calls, at 20 it took 358.  Every basis
-    # evaluation of the local norms, the tabulated samples and the
+    # of 28 digits it took 187 calls, at 20 it took 205.  Every basis
+    # evaluation of the local norms, the tabulated sample set and the
     # refinement alike, is called at those digits and returns values of no
     # more bits than they carry; so is every operand of the predictor sums
     # there, the q-hat rows included
@@ -371,7 +398,9 @@ def test_local_norms_run_at_reduced_precision(n, m, calls, monkeypatch):
     assert dps[:m + 1] == [full] * (m + 1)
     bound = ERROR_GUARD + _node_error_digits(traj, entry.problem.exact, ctx)
     assert max(dps[m + 1:]) <= bound < full
-    # the tabulated Gauss points and samples, then any refinement points
+    # the sample set, N+8 Gauss points and SUP_SAMPLES equispaced ones, is
+    # tabulated once and combined once per interval; then any refinement
+    # points
     assert len(basis_dps) >= (n + 8) + SUP_SAMPLES
     assert max(basis_dps) <= bound
     assert len(operand_bits) >= m * ((n + 8) + SUP_SAMPLES)
