@@ -36,8 +36,8 @@ SUP_SAMPLES = 24
 # evaluated (compute_errors).  The sup-norm refinement steps down to 1e-15
 # of the first sample gap, where the error's values differ by about 1e-30
 # of themselves (_parabolic_max), so the guard must exceed 30 digits: at
-# 20 and 28, harmonic N=2, M=4 at 500 digits took 205 and 187 reference
-# calls against 182 at the working precision; 30 to 44 changed no call
+# 20 and 28, harmonic N=2, M=4 at 500 digits took 202 and 184 reference
+# calls against 179 at the working precision; 30 to 44 changed no call
 # count of the 500-digit harmonic sweep.
 ERROR_GUARD = 40
 
@@ -156,8 +156,8 @@ def compute_errors(traj, reference, ctx):
     psi~^T qhat of the left interval at each later node, the end value
     that interface_identity_residual forms.  Continuous L1/L2 norms use a
     Gauss rule with N+8 points per interval; the continuous sup-norm is
-    sampled there and at SUP_SAMPLES equispaced points, one reference call
-    each, and polished by successive parabolic interpolation.
+    sampled there and at SUP_SAMPLES equispaced points (one reference call
+    per time), and polished by successive parabolic interpolation.
 
     The eight grid-node errors (n_*, ln_*) are evaluated at the working
     precision.  The other six (lq_*, l_*), which need the reference away
@@ -213,16 +213,20 @@ def compute_errors(traj, reference, ctx):
 def _local_errors(traj, reference, ctx):
     """The six local-solution norms (lq_*, l_*), at the ambient precision:
     basis values, the q-hat rows they combine and reference alike."""
-    tab = traj.tableau
-    basis = tab.basis
+    basis = traj.tableau.basis
     e = {}
+    ends = {t: reference(t) for t in dict.fromkeys(   # interval ends, where samples meet
+        loc.t_n + tq * loc.dt_n for loc in traj.locals for tq in (0, 1))}
+
+    def ref(t):
+        return ends[t] if t in ends else reference(t)
     # local solution at the quadrature nodal points
     tf = traj.times[-1]
     pts = []
     for loc in traj.locals:
-        for p in range(tab.stages):
-            t_np = loc.t_n + basis.tau[p] * loc.dt_n
-            pts.append((t_np, _vec_err(loc.qhat[p], reference(t_np))))
+        for p, tp in enumerate(basis.tau):
+            t_np = loc.t_n + tp * loc.dt_n
+            pts.append((t_np, _vec_err(loc.qhat[p], ref(t_np))))
     lq_l1 = lq_l2 = lq_linf = mp.mpf(0)
     for j, (t_np, err) in enumerate(pts):
         nxt = pts[j + 1][0] if j + 1 < len(pts) else tf
@@ -235,7 +239,7 @@ def _local_errors(traj, reference, ctx):
     # continuous norms from one sample set, tabulated once: the (N+8)-point
     # Gauss rule, which alone carries l_l1 and l_l2, and SUP_SAMPLES
     # equispaced points (weight None), all seeding the sup-norm search
-    qtau, qw = quadrature_rule(tab.n + 7, "gauss-legendre", ctx)
+    qtau, qw = quadrature_rule(traj.tableau.n + 7, "gauss-legendre", ctx)
     grid = [(mp.mpf(i) / (SUP_SAMPLES - 1), None) for i in range(SUP_SAMPLES)]
     samples = sorted([*zip(qtau, qw), *grid], key=lambda s: s[0])
     tau, lam = basis.tau, basis.lam
@@ -247,7 +251,7 @@ def _local_errors(traj, reference, ctx):
         qhat = [[+x for x in row] for row in loc.qhat]
 
         def err(t, lvals):
-            return _vec_err(combine_basis(lvals, qhat), reference(t))
+            return _vec_err(combine_basis(lvals, qhat), ref(t))
         ts = [loc.t_n + tq * loc.dt_n for tq, _ in samples]
         vals = [err(t, lvals) for t, lvals in zip(ts, s_basis)]
         for (_, wq), v in zip(samples, vals):

@@ -7,14 +7,14 @@ a substitution therefore takes its whole inner product as one `dot`, in
 place of a rounded multiply and subtract per term (the inner-product form
 of LU, Higham, Accuracy and Stability of Numerical Algorithms, section 9.2).
 
-`dot` is the library's one real inner product, also for the stage sums,
-dense evaluation and the quadrature checks.  Its contract is mp.fdot's:
-exact products, their sum rounded once, to nearest at the ambient
-precision.  It exists because mp.fdot's per-pair type conversion,
-attribute probes and bit count of every product cost more than the
-multiplications at these sizes; `dot` multiplies the raw mantissas of
-finite mpf operands as Python ints and leaves any other operand (mpc, int,
-inf, nan) to mp.fdot.
+`dot` is the library's real inner product, also for dense evaluation and
+the quadrature checks (solver.stage_sums forms the stage sums).  Its
+contract is mp.fdot's: exact products, their sum rounded once, to nearest
+at the ambient precision.  It exists because mp.fdot's per-pair type
+conversion, attribute probes and bit count of every product cost more
+than the multiplications at these sizes; `dot` multiplies the raw
+mantissas of finite mpf operands as Python ints and leaves any other
+operand (mpc, int, inf, nan) to mp.fdot.
 """
 
 import mpmath as mp

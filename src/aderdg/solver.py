@@ -9,9 +9,11 @@ output between grid nodes.
 
 import bisect
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from . import linalg
 from .basis import eval_basis
@@ -20,6 +22,7 @@ MAX_ITER = 60     # stage iterations per step, Newton or Picard
 FACTOR_GUARD = 25  # digits past the decade a refresh or an iteration resolves
 START_BOUND = 10   # multiple of the tolerance scale past which a start guess
                    # extended from the last interval is dropped
+_mpf = lambda man, e: mp.mp.make_mpf(from_man_exp(man, e, mp.mp.prec, round_nearest))
 
 
 class SolverError(ValueError):
@@ -71,7 +74,8 @@ def stage_tol(ctx):
 
 @dataclass
 class StageCarry:
-    """Stage-iteration state that integrate carries from step to step."""
+    """Stage-iteration state carried from step to step, for one tableau."""
+    a: Optional[tuple] = None       # a and w as integers on one exponent (_split)
     lu: Optional[tuple] = None      # LU factorization of the Newton matrix
     decade: Optional[int] = None    # reached by the last step's first correction
     start: Optional[list] = None    # start guess for the stage derivatives k
@@ -93,67 +97,101 @@ def _newton_matrix(tab, jacs, dt):
     return mat
 
 
+def _split(xs):
+    """The reals xs as (integer mantissas, one binary exponent), exactly."""
+    parts = [getattr(x, "_mpf_", None) or mp.mpf(x)._mpf_ for x in xs]
+    if any(exp and not man for _, man, exp, _ in parts):
+        raise StageSolveError("non-finite value in the stage iteration")
+    e = min((exp for _, man, exp, _ in parts if man), default=0)
+    return [(-man if sign else man) << (exp - e) if man else 0
+            for sign, man, exp, _ in parts], e
+
+
+def _sub(x, y):
+    """x - y of two splits, exactly."""
+    e = min(x[1], y[1])
+    return [(a << (x[1] - e)) - (b << (y[1] - e)) for a, b in zip(x[0], y[0])], e
+
+
+def _fit(x, bits):
+    """A split rounded so that its largest mantissa holds at most `bits` bits."""
+    man, e = x
+    b = max(map(abs, man)).bit_length() - bits
+    return x if b <= 0 else ([(m + (1 << (b - 1))) >> b for m in man], e + b)
+
+
+def stage_sums(rows, cols, u, dt):
+    """[u_i + dt sum_q rows[p][q] k_qi]_i for each row p, from the _split of
+    the rows (one exponent), of each column k_i and of u: multiplied and
+    summed exactly in integers, each rounded once at the ambient precision."""
+    (man, ea), (um, eu), ((dm,), de) = rows, u, _split([dt])
+    terms = []   # per column: k_i, u_i on the grid 2^e of the sum, shift of dt a k
+    for (k, ek), ui in zip(cols, um):
+        e = min(de + ea + ek, eu)
+        terms.append((k, ui << (eu - e), de + ea + ek - e, e))
+    return [[_mpf(base + (dm * sum(map(mul, row, k)) << sh), e)
+             for k, base, sh, e in terms] for row in man]
+
+
 def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
-    """Stage derivatives k of one step, solved to the stage tolerance, and
-    the predictor coefficients qhat_p = u_n + dt sum_q a_pq k_q: the stage
-    states at which the converged residual was evaluated.  Returns (k, qhat).
+    """Stage derivatives k of one step, solved to the stage tolerance, the
+    predictor coefficients qhat_p = u_n + dt sum_q a_pq k_q (the stage
+    states of the converged residual) and u_next = u_n + dt sum_p w_p k_p:
+    (k, qhat, u_next).  A non-finite F or correction raises StageSolveError.
 
     Newton works on the stacked residual r = k_p - F(state_p, t_p) and stops
     at max|r| <= stage_tol * max(1, max|F(u_n, t_p)|), since the rounding
     floor of r grows with the derivatives.  Convergence is accepted only
     from a residual evaluated at the working precision, so the Newton
     matrix and the digits of the other iterations set only the rate, never
-    the fixed point.  Each iteration evaluates the stage states, right-hand
-    sides, residual and correction at p = min(working digits, FACTOR_GUARD
-    + the decade, relative to that scale, that the next residual can
-    reach), with dt, u_n, t_p and k rounded to p digits: the residual
-    must resolve only what its correction is to gain.  (The entries of a
-    keep their digits: rounding s^2 of them every iteration costs more
-    than the shorter products save.)  The decade is
+    the fixed point.  Each iteration evaluates the states, right-hand sides
+    and correction at p = min(working digits, FACTOR_GUARD + the decade,
+    relative to that scale, that the next residual can reach): the residual
+    must resolve only what its correction is to gain.  The decade is
     predicted from the gains the iteration has shown, and a refresh adds
     the decade it is taken at to the gain.  A residual at reduced digits
     that meets the tolerance, or whose correction the digits would cut
     short, is evaluated again at the working precision (the floor
     re-check), so a precision-limited iteration never counts as a stall.
+    k is kept as integer columns (_split, _fit): r and k -= r or M^-1 r are
+    exact, and stage_sums rounds each state (of k at p digits) and u_next once.
 
-    The StageCarry `carry` (a fresh one when None) holds the state that
-    goes from step to step, and is updated in place: `lu`, the LU
-    factorization of the Newton matrix; `decade`, the decade the first
-    correction of the last step reached (the working precision when it
-    converged); and `start`, the start guess for k.  A step with no
-    `decade` runs at the working precision throughout, and one with no
-    `start`, or one that is not finite or exceeds the tolerance scale
-    START_BOUND times, starts from k_p = F(u_n, t_p).  With no `lu` the
-    matrix is built from the Jacobian at (u_n, t_n).  Every 5 iterations
-    it is rebuilt from per-stage Jacobians at the current states, evaluated
-    and factored at the digits they carry, FACTOR_GUARD + the residual's
-    decade; a refresh forced by a stalled contraction, or whose rounded
-    matrix is singular, is evaluated and factored at the working
-    precision.  Picard is the same iteration with the Jacobian taken as
-    zero: the Newton matrix is I, k - r = F(states(k)) and no matrix is
-    factored (Hairer & Wanner, Solving ODEs II, section IV.8).
+    The StageCarry `carry` (a fresh one when None) holds the state that goes
+    from step to step, and is updated in place: `a`, the split of a and w;
+    `lu`, the LU factorization of the Newton matrix; `decade`, the decade the
+    first correction of the last step reached (the working precision when it
+    converged); and `start`, the start guess for k.  A step with no `decade`
+    runs at the working precision throughout, and one with no `start`, or one
+    that is not finite or exceeds the tolerance scale START_BOUND times,
+    starts from k_p = F(u_n, t_p).  With no `lu` the matrix is built from the
+    Jacobian at (u_n, t_n).  Every 5 iterations it is rebuilt from per-stage
+    Jacobians at the current states, evaluated and factored at the digits they
+    carry, FACTOR_GUARD + the residual's decade; a refresh forced by a stalled
+    contraction, or whose rounded matrix is singular, is evaluated and
+    factored at the working precision.  Picard is the same iteration with the
+    Jacobian taken as zero: the Newton matrix is I, k - r = F(states(k)) and
+    no matrix is factored (Hairer & Wanner, Solving ODEs II, section IV.8).
     """
     if not dt > 0:
         raise SolverError("dt must be positive")
     carry = carry or StageCarry()
     s, d = tab.stages, problem.dim
+    if carry.a is None:
+        man, e = _split([x for row in (*tab.a, tab.basis.w) for x in row])
+        carry.a = [man[i:i + s] for i in range(0, len(man), s)], e
+    (a, ea), u = carry.a, _split(u_n)
     with ctx.workdps(10):
-        full = mp.mp.dps
+        full, bits = mp.mp.dps, mp.mp.prec
         t_p = [t_n + tab.basis.tau[p] * dt for p in range(s)]
 
-        def residual(k, dps):
-            # stage states of k and r = k - F(states) at dps digits
+        def residual(cols, dps):
+            # stage states of k and the split columns of r = k - F(states)
             with mp.workdps(dps):
-                h, u, t = dt, u_n, t_p
-                if dps < full:
-                    k = [[+x for x in row] for row in k]
-                    h, u, t = +dt, [+x for x in u], [+x for x in t]
-                cols = [[row[i] for row in k] for i in range(d)]
-                q = [[u[i] + h * linalg.dot(a_p, cols[i]) for i in range(d)]
-                     for a_p in tab.a]
-                f = [problem.rhs(q[p], t[p]) for p in range(s)]
-                r = [k[p][i] - f[p][i] for p in range(s) for i in range(d)]
-                return q, r, max(abs(x) for x in r)
+                short = [_fit(c, mp.mp.prec) for c in cols] if dps < full else cols
+                q = stage_sums((a[:s], ea), short, u, dt)
+                f = list(map(problem.rhs, q, t_p))
+                r = [_sub(col, _split(fc)) for col, fc in zip(cols, zip(*f))]
+                return q, r, max(_mpf(max(map(abs, m)), x) for m, x in r)
 
         def factor(jacobians, dps):
             # jacobians() runs inside, so the Jacobians carry dps digits too
@@ -170,15 +208,15 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
             # -log10(x / scale), from the binary exponents
             return (mp.mag(scale) - mp.mag(x)) * 3 // 10
 
-        f0 = [list(problem.rhs(u_n, t_p[p])) for p in range(s)]
-        scale = max(1, max(abs(x) for row in f0 for x in row))
+        k = list(map(_split, zip(*map(problem.rhs, [u_n] * s, t_p))))   # F(u_n, t_p)
+        scale = max(1, max(_mpf(max(map(abs, m)), x) for m, x in k))
         tol = stage_tol(ctx) * scale
         done = decade(tol)
-        k = carry.start
-        if k is None or not all(mp.isfinite(x) and abs(x) <= START_BOUND * scale
-                                for row in k for x in row):
-            k = f0
-        k = [list(row) for row in k]
+        start = carry.start
+        if start is not None and all(mp.isfinite(x) and abs(x) <= START_BOUND * scale
+                                     for row in start for x in row):
+            k = list(map(_split, zip(*start)))
+        k = [_fit(col, bits) for col in k]
         if not picard and carry.lu is None:
             carry.lu = factor(lambda: [problem.jacobian(u_n, t_n)] * s, full)
         reach = carried = carry.decade
@@ -194,8 +232,9 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
             if rn <= tol:
                 if it == 1:
                     carry.decade = full
-                carry.start = k
-                return tuple(map(tuple, k)), tuple(map(tuple, q))
+                u_next = tuple(stage_sums((a[s:], ea), k, u, dt)[0])
+                carry.start = [[_mpf(m[p], x) for m, x in k] for p in range(s)]
+                return tuple(map(tuple, carry.start)), tuple(map(tuple, q)), u_next
             e = decade(rn)
             if it == 1:
                 carry.decade = e
@@ -208,12 +247,12 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
                 carry.lu = factor(lambda: list(map(problem.jacobian, q, t_p)),
                                   full if stall else min(full, FACTOR_GUARD + e))
                 gain = None if stall else gain + e
-            with mp.workdps(dps):
-                # k -= M^-1 r for the Newton matrix M, which is I for Picard
-                delta = r if picard else linalg.lu_solve(carry.lu, r)
-            for p in range(s):
-                for i in range(d):
-                    k[p][i] -= delta[p * d + i]
+            if not picard:   # k -= M^-1 r for the Newton matrix M, I for Picard
+                with mp.workdps(dps):
+                    r = linalg.lu_solve(carry.lu, [_mpf(m[p], x)
+                                                   for p in range(s) for m, x in r])
+                r = [_split(r[i::d]) for i in range(d)]
+            k = [_fit(_sub(col, x), bits) for col, x in zip(k, r)]
             prev, e_prev = rn, e
             reach = None
             if carried is not None and gain is not None and e + gain < done:
@@ -230,10 +269,7 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
 
 def step(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
     """One integration step; returns the interval's LocalSolution."""
-    k, qhat = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard, carry)
-    with ctx.workdps(10):
-        u_next = tuple(u_n[i] + dt * linalg.dot(tab.basis.w, [row[i] for row in k])
-                       for i in range(problem.dim))
+    _, qhat, u_next = solve_stages(tab, problem, u_n, t_n, dt, ctx, picard, carry)
     return LocalSolution(t_n=t_n, dt_n=dt, qhat=qhat, u_next=u_next)
 
 

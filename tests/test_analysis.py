@@ -312,9 +312,10 @@ def test_l_linf_matches_a_dense_search_on_one_interval(spec, family, n):
 
 
 def test_reference_calls_per_interval():
-    # harmonic N=2, M=4 at 60 digits makes 182 reference calls: per
-    # interval 24 samples, N+8 = 10 Gauss points and N+1 = 3 stages, plus
-    # the M+1 = 5 grid nodes and 29 refinement steps in all.  The bound is
+    # harmonic N=2, M=4 at 60 digits makes 179 reference calls: per
+    # interval 24 samples, N+8 = 10 Gauss points and N+1 = 3 stages, less
+    # the M-1 = 3 end samples that neighbouring intervals share, plus the
+    # M+1 = 5 grid nodes and 29 refinement steps in all.  The bound is
     # 204; a fixed-length search breaks it (golden section would make 321),
     # and so does a second evaluation of the Gauss points (222).
     entry = harmonic_oscillator()
@@ -349,13 +350,13 @@ def _node_error_digits(traj, exact, ctx):
             min(x for x in errs if x) / scale))))
 
 
-@pytest.mark.parametrize("n, m, calls", [(4, 8, 337), (2, 4, 182)])
+@pytest.mark.parametrize("n, m, calls", [(4, 8, 330), (2, 4, 179)])
 def test_local_norms_run_at_reduced_precision(n, m, calls, monkeypatch):
     # harmonic at 500 digits makes as many reference calls as when every
     # norm ran at the working precision: the M+1 grid-node calls at the
     # working 510 digits, the others at no more than ERROR_GUARD + d.  The
     # sup-norm refinement of N=2, M=4 meets an interior maximum; at a guard
-    # of 28 digits it took 187 calls, at 20 it took 205.  Every basis
+    # of 28 digits it took 184 calls, at 20 it took 202.  Every basis
     # evaluation of the local norms, the tabulated sample set and the
     # refinement alike, is called at those digits and returns values of no
     # more bits than they carry; so is every operand of the predictor sums

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import mpmath as mp
 import pytest
@@ -8,7 +10,8 @@ from aderdg.arith import make_context
 from aderdg.problems import dahlquist, harmonic_oscillator, pendulum
 from aderdg.solver import (OdeProblem, SolverError, StageCarry,
                            StageSolveError, eval_local, integrate,
-                           solve_stages, stage_tol, step, trajectory_eval)
+                           solve_stages, stage_sums, stage_tol, step,
+                           trajectory_eval)
 from aderdg.tableau import build_tableau, stability_function
 
 CTX = make_context(60)
@@ -76,8 +79,8 @@ def test_picard_step_factors_no_matrix(monkeypatch):
     entry = harmonic_oscillator()
     with CTX.workdps():
         dt = mp.mpf(1) / 10
-        k, qhat = solve_stages(TAB2, entry.problem, entry.problem.u0,
-                               entry.problem.t0, dt, CTX, picard=True)
+        k, qhat, _ = solve_stages(TAB2, entry.problem, entry.problem.u0,
+                                  entry.problem.t0, dt, CTX, picard=True)
         for p in range(TAB2.stages):
             t_p = entry.problem.t0 + TAB2.basis.tau[p] * dt
             f = entry.problem.rhs(qhat[p], t_p)
@@ -99,6 +102,113 @@ def test_newton_nonconvergence_reports_interval(monkeypatch):
     with pytest.raises(StageSolveError) as exc:
         integrate(TAB2, entry.problem, 2, CTX)
     assert exc.value.interval == 0
+
+
+@pytest.mark.parametrize("picard", [False, True], ids=["newton", "picard"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("first_bad", [7, 200])
+def test_non_finite_rhs_raises_stage_solve_error(bad, picard, first_bad):
+    # F turns non-finite from its first_bad-th call on: call 7 is in a
+    # residual of interval 0, after the 3 calls F(u_n, t_p) and the first
+    # residual, and call 200 in a later interval.  The error names the
+    # interval of that call
+    problem = pendulum().problem
+    m = 16
+    calls, bad_t = [0], []
+
+    def rhs(u, t):
+        calls[0] += 1
+        if calls[0] < first_bad:
+            return problem.rhs(u, t)
+        bad_t.append(t)
+        return (mp.mpf(bad), u[0])
+
+    with pytest.raises(StageSolveError) as exc:
+        integrate(TAB2, dataclasses.replace(problem, rhs=rhs), m, CTX,
+                  picard=picard)
+    with CTX.workdps():
+        interval = int(bad_t[0] / ((problem.tf - problem.t0) / m))
+    assert exc.value.interval == interval
+    assert interval > 0 or first_bad == 7
+
+
+class _Mpz:
+    """An integer type that, like gmpy2.mpz, is not a subclass of int."""
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = int(v)
+
+    def __int__(self):
+        return self.v
+    __index__ = __int__
+
+    def __mul__(self, other):
+        return _Mpz(self.v * int(other))
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Mpz(self.v + int(other))
+    __radd__ = __add__
+
+    def __lshift__(self, n):
+        return _Mpz(self.v << n)
+
+
+def _kernel_case(case, tab):
+    """(k, u) of a kernel test case: pendulum has k = F(u_0, t_p) from
+    u_0 = (pi/2, 0), whose first column is zero; mixed has entries of both
+    signs over 60 decades in a column, a zero u component and a zero
+    column."""
+    s = tab.stages
+    if case == "pendulum-f0":
+        problem = pendulum().problem
+        return ([problem.rhs(problem.u0, tp) for tp in tab.basis.tau],
+                problem.u0)
+    return ([[(-1) ** p * mp.mpf(p + 1) / 3 * mp.mpf(10) ** (3 * p - 7),
+              -(mp.mpf(7) / 3) ** p * mp.mpf(10) ** (-20 * p), mp.mpf(0)]
+             for p in range(s)], (mp.mpf(1) / 7, mp.mpf("-3e-30"), mp.mpf(0)))
+
+
+@pytest.mark.parametrize("family", ["gauss-legendre", "radau-right"])
+@pytest.mark.parametrize("case", ["pendulum-f0", "mixed"])
+@pytest.mark.parametrize("extra", [10, -30], ids=["working", "reduced"])
+@pytest.mark.parametrize("mantissa", [int, _Mpz], ids=["int", "mpz"])
+def test_stage_sums_round_the_exact_sums_once(family, case, extra, mantissa):
+    # every stage state and the corrector row, u_i + dt sum_q a_pq k_qi,
+    # equals the sum at twice the digits rounded once to the ambient ones;
+    # also with mantissas of a non-int type, which mpmath's gmpy2 backend
+    # gives and int's own methods (int.__mul__) reject
+    tab = build_tableau(3, family, CTX)
+    s = tab.stages
+    k, u = _kernel_case(case, tab)
+    rows = [*tab.a, tab.basis.w]
+
+    def split(xs):
+        man, e = solver._split(xs)
+        return [mantissa(m) for m in man], e
+    man, e = split([x for row in rows for x in row])
+    a = [man[i:i + s] for i in range(0, len(man), s)], e
+    cols = [split(col) for col in zip(*k)]
+    with CTX.workdps(10):
+        dt = mp.mpf(1) / 3
+    with mp.workdps(2 * tab.basis.work_dps):
+        exact = [[u[i] + dt * mp.fsum(row[q] * k[q][i] for q in range(s))
+                  for i in range(len(u))] for row in rows]
+    with CTX.workdps(extra):
+        expect = [[+x for x in row] for row in exact]
+        assert stage_sums(a, cols, split(u), dt) == expect
+
+
+def test_integrate_keeps_nothing_once_the_trajectory_is_dropped():
+    # the integer split of a lives in the StageCarry of one integrate call:
+    # no module-level cache keeps the tableau alive
+    tab = build_tableau(2, "gauss-legendre", CTX)
+    alive = weakref.ref(tab)
+    traj = integrate(tab, pendulum().problem, 4, CTX)
+    del tab, traj
+    gc.collect()
+    assert alive() is None
 
 
 def test_eval_local_snaps_stored_nodes():
@@ -167,8 +277,8 @@ def test_stage_solution_consistency():
     u0 = entry.problem.u0
     with CTX.workdps():
         dt = mp.mpf(1) / 4
-        k, qhat = solve_stages(TAB2, entry.problem, u0, entry.problem.t0,
-                               dt, CTX)
+        k, qhat, _ = solve_stages(TAB2, entry.problem, u0, entry.problem.t0,
+                                  dt, CTX)
         tol = 10 * stage_tol(CTX)
         for p in range(TAB2.stages):
             t_p = entry.problem.t0 + TAB2.basis.tau[p] * dt
@@ -243,10 +353,10 @@ def test_carried_matrix_sets_only_the_rate():
     problem = pendulum().problem
     with CTX.workdps():
         dt = mp.mpf(1) / 4
-        fresh, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        fresh, _, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
         carry = StageCarry(lu=_factored_for(TAB2, problem, 10 * dt))
-        k, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX,
-                            carry=carry)
+        k, _, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX,
+                               carry=carry)
         assert max(abs(a - b) for ka, kb in zip(k, fresh)
                    for a, b in zip(ka, kb)) <= 10 * stage_tol(CTX)
 
@@ -297,7 +407,7 @@ def test_singular_rounded_refresh_is_refactored(monkeypatch):
     problem = pendulum().problem
     with CTX.workdps():
         dt = mp.mpf(1) / 4
-        fresh, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        fresh, _, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
         lu_factor, dps = linalg.lu_factor, []
 
         def factor(a):
@@ -307,7 +417,7 @@ def test_singular_rounded_refresh_is_refactored(monkeypatch):
             return lu_factor(a)
 
         monkeypatch.setattr(linalg, "lu_factor", factor)
-        k, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
+        k, _, _ = solve_stages(TAB2, problem, problem.u0, problem.t0, dt, CTX)
         assert min(dps) < CTX.decimal_digits and dps[-1] > CTX.decimal_digits
         assert max(abs(a - b) for ka, kb in zip(k, fresh)
                    for a, b in zip(ka, kb)) <= 10 * stage_tol(CTX)
@@ -365,11 +475,11 @@ def test_floor_recheck_is_not_a_stall(monkeypatch):
     with ctx.workdps():
         dt = mp.mpf(1) / 4
         carry = StageCarry()
-        k, _ = solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx,
-                            carry=carry)
+        k, _, _ = solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx,
+                               carry=carry)
         calls = _count_lu(monkeypatch)
-        again, _ = solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx,
-                                carry=StageCarry(lu=carry.lu, decade=0, start=k))
+        again, _, _ = solve_stages(tab, problem, problem.u0, problem.t0, dt, ctx,
+                                   carry=StageCarry(lu=carry.lu, decade=0, start=k))
         assert (calls["factor_dps"], calls["solves"]) == ([], 0)
         assert again == tuple(map(tuple, k))
 
