@@ -13,16 +13,15 @@ from operator import mul
 from typing import Callable, Optional
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest
 
 from . import linalg
 from .basis import eval_basis
+from .linalg import _fit, _mpf, _split
 
 MAX_ITER = 60     # stage iterations per step, Newton or Picard
 FACTOR_GUARD = 25  # digits past the decade a refresh or an iteration resolves
 START_BOUND = 10   # multiple of the tolerance scale past which a start guess
                    # extended from the last interval is dropped
-_mpf = lambda man, e: mp.mp.make_mpf(from_man_exp(man, e, mp.mp.prec, round_nearest))
 
 
 class SolverError(ValueError):
@@ -97,27 +96,10 @@ def _newton_matrix(tab, jacs, dt):
     return mat
 
 
-def _split(xs):
-    """The reals xs as (integer mantissas, one binary exponent), exactly."""
-    parts = [getattr(x, "_mpf_", None) or mp.mpf(x)._mpf_ for x in xs]
-    if any(exp and not man for _, man, exp, _ in parts):
-        raise StageSolveError("non-finite value in the stage iteration")
-    e = min((exp for _, man, exp, _ in parts if man), default=0)
-    return [(-man if sign else man) << (exp - e) if man else 0
-            for sign, man, exp, _ in parts], e
-
-
 def _sub(x, y):
     """x - y of two splits, exactly."""
     e = min(x[1], y[1])
     return [(a << (x[1] - e)) - (b << (y[1] - e)) for a, b in zip(x[0], y[0])], e
-
-
-def _fit(x, bits):
-    """A split rounded so that its largest mantissa holds at most `bits` bits."""
-    man, e = x
-    b = max(map(abs, man)).bit_length() - bits
-    return x if b <= 0 else ([(m + (1 << (b - 1))) >> b for m in man], e + b)
 
 
 def stage_sums(rows, cols, u, dt):
@@ -137,15 +119,15 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
     """Stage derivatives k of one step, solved to the stage tolerance, the
     predictor coefficients qhat_p = u_n + dt sum_q a_pq k_q (the stage
     states of the converged residual) and u_next = u_n + dt sum_p w_p k_p:
-    (k, qhat, u_next).  A non-finite F or correction raises StageSolveError.
+    (k, qhat, u_next).  A non-finite F or J raises linalg.NotFiniteRealError.
 
     Newton works on the stacked residual r = k_p - F(state_p, t_p) and stops
     at max|r| <= stage_tol * max(1, max|F(u_n, t_p)|), since the rounding
     floor of r grows with the derivatives.  Convergence is accepted only
     from a residual evaluated at the working precision, so the Newton
     matrix and the digits of the other iterations set only the rate, never
-    the fixed point.  Each iteration evaluates the states, right-hand sides
-    and correction at p = min(working digits, FACTOR_GUARD + the decade,
+    the fixed point.  Each iteration evaluates the states and right-hand
+    sides at p = min(working digits, FACTOR_GUARD + the decade,
     relative to that scale, that the next residual can reach): the residual
     must resolve only what its correction is to gain.  The decade is
     predicted from the gains the iteration has shown, and a refresh adds
@@ -153,8 +135,8 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
     that meets the tolerance, or whose correction the digits would cut
     short, is evaluated again at the working precision (the floor
     re-check), so a precision-limited iteration never counts as a stall.
-    k is kept as integer columns (_split, _fit): r and k -= r or M^-1 r are
-    exact, and stage_sums rounds each state (of k at p digits) and u_next once.
+    k is kept as integer columns (_split, _fit): r, k -= r and M^-1 r are exact
+    to the grid of r (lu_solve); stage_sums rounds each state (at p digits) and u_next once.
 
     The StageCarry `carry` (a fresh one when None) holds the state that goes
     from step to step, and is updated in place: `a`, the split of a and w;
@@ -248,10 +230,10 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
                                   full if stall else min(full, FACTOR_GUARD + e))
                 gain = None if stall else gain + e
             if not picard:   # k -= M^-1 r for the Newton matrix M, I for Picard
-                with mp.workdps(dps):
-                    r = linalg.lu_solve(carry.lu, [_mpf(m[p], x)
-                                                   for p in range(s) for m, x in r])
-                r = [_split(r[i::d]) for i in range(d)]
+                er = min(x for _, x in r)   # r stacked as one split column
+                x, ex = linalg.lu_solve(carry.lu, (
+                    [m[p] << (em - er) for p in range(s) for m, em in r], er))
+                r = [(x[i::d], ex) for i in range(d)]
             k = [_fit(_sub(col, x), bits) for col, x in zip(k, r)]
             prev, e_prev = rn, e
             reach = None
@@ -350,7 +332,7 @@ def integrate(tab, problem, m, ctx, picard=False):
     for i in range(m):
         try:
             loc = step(tab, problem, u, times[i], dts[i], ctx, picard, carry)
-        except StageSolveError as exc:
+        except (StageSolveError, linalg.NotFiniteRealError) as exc:
             raise StageSolveError(f"interval {i}: {exc}", interval=i) from exc
         with ctx.workdps(10):
             cols = [[row[j] for row in carry.start] for j in range(problem.dim)]

@@ -210,6 +210,8 @@ def build_q_m(tab, ctx):
 def stability_function(tab, z, ctx):
     """One-step amplification factor R(z) = 1 + z w^T (I - z a)^{-1} 1.
 
+    At a complex z = zr + i zi, (I - z a) x = 1 is solved in its real 2s form
+    [[I - zr a, zi a], [-zi a, I - zr a]] [Re x; Im x] = [1; 0].
     Runs at ctx's digits + 10, whatever digits tab was built at, so a
     caller sizes ctx to what it checks."""
     n1 = tab.stages
@@ -217,13 +219,16 @@ def stability_function(tab, z, ctx):
         z = mp.mpc(z) if (isinstance(z, complex) or isinstance(z, mp.mpc)) else mp.mpf(z)
         if z == 0:
             return mp.mpf(1)
-        sys = [[(1 if p == q else 0) - z * tab.a[p][q] for q in range(n1)]
-               for p in range(n1)]
+        sys = [[(p == q) - z.real * x for q, x in enumerate(row)] for p, row in enumerate(tab.a)]
+        if z.imag:
+            ya = [[z.imag * x for x in row] for row in tab.a]
+            sys = [r + y for r, y in zip(sys, ya)] + [[-v for v in y] + r for r, y in zip(sys, ya)]
         try:
-            x = linalg.solve(sys, [mp.mpf(1)] * n1)
+            x = linalg.solve(sys, [mp.mpf(1)] * n1 + [mp.mpf(0)] * (len(sys) - n1))
         except linalg.SingularMatrixError as exc:
             raise TableauError(f"stability function pole at z={z}") from exc
-        return 1 + z * mp.fsum(wp * xp for wp, xp in zip(tab.basis.w, x))
+        wx = linalg.dot(tab.basis.w, x[:n1])
+        return 1 + z * (mp.mpc(wx, linalg.dot(tab.basis.w, x[n1:])) if z.imag else wx)
 
 
 @functools.lru_cache(maxsize=32)

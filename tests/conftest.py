@@ -32,6 +32,38 @@ def _trace_free_tampered(n, digits):
     return json.dumps(doc)
 
 
+class Mpz:
+    """An integer type that, like gmpy2.mpz, is not a subclass of int: its
+    arithmetic returns Mpz, and int's own methods (int.__mul__) reject it.
+    mpmath's gmpy2 backend gives mantissas of that kind."""
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = int(v)
+
+    def __int__(self):
+        return self.v
+    __index__ = __int__
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def bit_length(self):
+        return self.v.bit_length()
+
+
+def _lifted(name, wrap):
+    op = getattr(int, name)
+    return lambda self, *other: wrap(op(self.v, *map(int, other)))
+
+
+for _name in ("add", "radd", "sub", "rsub", "mul", "rmul", "floordiv",
+              "lshift", "rshift", "neg", "abs"):
+    setattr(Mpz, f"__{_name}__", _lifted(f"__{_name}__", Mpz))
+for _name in ("eq", "lt", "le", "gt", "ge"):
+    setattr(Mpz, f"__{_name}__", _lifted(f"__{_name}__", bool))
+
+
 @pytest.fixture
 def trace_free_tampered():
     return _trace_free_tampered

@@ -4,6 +4,7 @@ import weakref
 
 import mpmath as mp
 import pytest
+from conftest import Mpz
 
 from aderdg import linalg, solver
 from aderdg.arith import make_context
@@ -132,29 +133,6 @@ def test_non_finite_rhs_raises_stage_solve_error(bad, picard, first_bad):
     assert interval > 0 or first_bad == 7
 
 
-class _Mpz:
-    """An integer type that, like gmpy2.mpz, is not a subclass of int."""
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = int(v)
-
-    def __int__(self):
-        return self.v
-    __index__ = __int__
-
-    def __mul__(self, other):
-        return _Mpz(self.v * int(other))
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return _Mpz(self.v + int(other))
-    __radd__ = __add__
-
-    def __lshift__(self, n):
-        return _Mpz(self.v << n)
-
-
 def _kernel_case(case, tab):
     """(k, u) of a kernel test case: pendulum has k = F(u_0, t_p) from
     u_0 = (pi/2, 0), whose first column is zero; mixed has entries of both
@@ -173,7 +151,7 @@ def _kernel_case(case, tab):
 @pytest.mark.parametrize("family", ["gauss-legendre", "radau-right"])
 @pytest.mark.parametrize("case", ["pendulum-f0", "mixed"])
 @pytest.mark.parametrize("extra", [10, -30], ids=["working", "reduced"])
-@pytest.mark.parametrize("mantissa", [int, _Mpz], ids=["int", "mpz"])
+@pytest.mark.parametrize("mantissa", [int, Mpz], ids=["int", "mpz"])
 def test_stage_sums_round_the_exact_sums_once(family, case, extra, mantissa):
     # every stage state and the corrector row, u_i + dt sum_q a_pq k_qi,
     # equals the sum at twice the digits rounded once to the ambient ones;
@@ -339,6 +317,26 @@ def test_stiff_linear_solve_converges_at_its_rounding_floor(lam):
         r = stability_function(TAB2, mp.mpf(lam) / 4, CTX)
         for i, u in enumerate(traj.values):
             assert abs(u[0] - r ** i) <= stage_tol(CTX)
+
+
+@pytest.mark.parametrize("lam", ["-1e60", "-1e90"])
+def test_newton_keeps_the_digits_of_a_slow_component(lam):
+    # u' = (lam u_0, -u_1): the Newton matrix's rows of the two components
+    # differ by |lam| in scale.  The slow component must still be the scalar
+    # Dahlquist solve of lambda = -1, to the stage tolerance, since each row
+    # keeps its digits in the LU (on one grid for the whole matrix, lam =
+    # -1e60 cost it 31 digits and -1e90 rounded the matrix to singular)
+    with CTX.workdps():
+        lam = mp.mpf(lam)
+        problem = OdeProblem(dim=2, rhs=lambda u, t: (lam * u[0], -u[1]),
+                             jacobian=lambda u, t: ((lam, 0), (0, -1)),
+                             t0=mp.mpf(0), tf=mp.mpf(1),
+                             u0=(mp.mpf(1), mp.mpf(1)))
+    traj = integrate(TAB2, problem, 4, CTX)
+    slow = integrate(TAB2, dahlquist(-1).problem, 4, CTX)
+    with CTX.workdps():
+        assert max(abs(u[1] - v[0]) for u, v in zip(traj.values, slow.values)) \
+            <= stage_tol(CTX)
 
 
 def _factored_for(tab, problem, dt):

@@ -256,6 +256,28 @@ def test_stability_function_n1_values():
         assert stability_function(tab, 0, CTX) == 1
 
 
+@pytest.mark.parametrize("n", [0, 3, 8])
+def test_stability_function_matches_the_complex_solve(n):
+    # at a complex z, R(z) from the real 2s form of (I - z a) x = 1 equals
+    # 1 + z w^T x with x from mp.lu_solve on the complex matrix at twice the
+    # digits, to the digits + 10 it runs at, less the decades cond(I - z a)
+    # can cost, relative to |z w^T x| <= 1 + |R| (it cancels at z = -1e8)
+    tab = _tab(n)
+    s = tab.stages
+    for z in (mp.mpc(-2, 5), mp.mpc(0, 3), mp.mpc(-1, 1), mp.mpc(30, -7),
+              mp.mpc(-1e8, 1e4)):
+        rv = stability_function(tab, z, CTX)
+        assert isinstance(rv, mp.mpc)
+        with CTX.workdps(CTX.decimal_digits):
+            m = mp.matrix([[(p == q) - z * tab.a[p][q] for q in range(s)]
+                           for p in range(s)])
+            x = mp.lu_solve(m, mp.matrix([1] * s))
+            ref = 1 + z * mp.fsum(w * xp for w, xp in zip(tab.basis.w, x))
+            cond = mp.mnorm(m, "inf") * mp.mnorm(mp.inverse(m), "inf")
+            assert abs(rv - ref) <= (1 + abs(ref)) * cond * mp.mpf(10) ** -(
+                CTX.decimal_digits + 8)
+
+
 def test_pade_series_match():
     # the rational function agrees with exp through order 2N+1
     for n in (1, 2, 4):
