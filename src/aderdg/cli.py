@@ -15,9 +15,9 @@ from .analysis import (AnalysisError, SweepError, convergence_study,
                        format_order_table, format_raw_errors,
                        interface_identity_residual)
 from .arith import MIN_DIGITS, ArithError, make_context
-from .basis import FAMILIES, BasisError
+from .basis import FAMILIES, BasisError, eval_basis
 from .problems import ProblemError, catalog_lookup
-from .solver import SolverError, eval_local, integrate
+from .solver import SolverError, combine_basis, integrate
 from .tableau import (ImportVerificationError, TableauError, build_q_m,
                       build_tableau, check_simplifying, export_tableau,
                       import_tableau, pade_exp, simplifying_residuals,
@@ -279,10 +279,11 @@ def cmd_solve(args):
             rows.append(row)
 
         add(traj.times[0], traj.values[0], "node")
+        taus = [mp.mpf(j) / (args.dense + 1) for j in range(1, args.dense + 1)]
+        dense = [(tj, eval_basis(tab.basis.tau, tab.basis.lam, tj)) for tj in taus]
         for i, loc in enumerate(traj.locals):
-            for j in range(1, args.dense + 1):
-                t = loc.t_n + loc.dt_n * mp.mpf(j) / (args.dense + 1)
-                add(t, eval_local(loc, tab.basis, t), "dense")
+            for tj, vals in dense:
+                add(loc.t_n + loc.dt_n * tj, combine_basis(vals, loc.qhat), "dense")
             add(traj.times[i + 1], traj.values[i + 1], "node")
         seam = interface_identity_residual(traj, ctx)
 

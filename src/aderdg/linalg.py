@@ -3,10 +3,10 @@ dozen: one integer LU kernel and the library's real inner product.
 
 The split format holds reals as (integer mantissas, one binary exponent),
 of int or any type with its operators (gmpy2's mpz): `_split` makes it,
-exactly or rounded onto a grid, `_fit` rounds it to a bit count, `_mpf`
-rounds one mantissa to an mpf.  `lu_factor` rounds each row of the real
-matrix onto the grid on which its largest entry holds the working bits plus
-GUARD (a row scaling D by powers of 2), and forms each entry of U and of L
+exactly or rounded onto a grid, `_fit` rounds or widens it to a bit count,
+`_mpf` rounds one mantissa to an mpf.  `lu_factor` rounds each row of the
+real matrix onto the grid on which its largest entry holds the working bits
+plus GUARD (a row scaling D by powers of 2), and forms each entry of U and of L
 (on 2^-(prec + GUARD)) as one exact integer inner product rounded once
 (Higham, Accuracy and Stability of Numerical Algorithms, section 9.2).
 `lu_solve` maps a split column to a split column, exact to its grid: each
@@ -53,10 +53,14 @@ def _split(xs, bits=None):
             for s, m, x, _ in parts], e
 
 
-def _fit(x, bits):
-    """A split rounded so that its largest mantissa holds at most `bits` bits."""
+def _fit(x, bits, widen=False):
+    """A split rounded so that its largest mantissa holds at most `bits` bits;
+    with widen, a nonzero one that holds fewer is shifted up to exactly `bits`."""
     man, e = x
-    b = max(map(abs, man)).bit_length() - bits
+    top = max(map(abs, man))
+    b = top.bit_length() - bits
+    if b < 0 and widen and top:
+        return [m << -b for m in man], e + b
     return x if b <= 0 else ([(m + (1 << (b - 1))) >> b for m in man], e + b)
 
 

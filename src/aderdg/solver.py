@@ -135,24 +135,29 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
     that meets the tolerance, or whose correction the digits would cut
     short, is evaluated again at the working precision (the floor
     re-check), so a precision-limited iteration never counts as a stall.
-    k is kept as integer columns (_split, _fit): r, k -= r and M^-1 r are exact
-    to the grid of r (lu_solve); stage_sums rounds each state (at p digits) and u_next once.
+    k is kept as integer columns (_split, _fit): r and k -= r are exact, and
+    M^-1 r is exact to the grid of r (lu_solve) once each column of r holds the
+    bits of the matrix's rows (widened or rounded); stage_sums rounds each
+    state (at p digits) and u_next once.
 
     The StageCarry `carry` (a fresh one when None) holds the state that goes
     from step to step, and is updated in place: `a`, the split of a and w;
     `lu`, the LU factorization of the Newton matrix; `decade`, the decade the
     first correction of the last step reached (the working precision when it
     converged); and `start`, the start guess for k.  A step with no `decade`
-    runs at the working precision throughout, and one with no `start`, or one
-    that is not finite or exceeds the tolerance scale START_BOUND times,
-    starts from k_p = F(u_n, t_p).  With no `lu` the matrix is built from the
-    Jacobian at (u_n, t_n).  Every 5 iterations it is rebuilt from per-stage
-    Jacobians at the current states, evaluated and factored at the digits they
-    carry, FACTOR_GUARD + the residual's decade; a refresh forced by a stalled
-    contraction, or whose rounded matrix is singular, is evaluated and
-    factored at the working precision.  Picard is the same iteration with the
-    Jacobian taken as zero: the Newton matrix is I, k - r = F(states(k)) and
-    no matrix is factored (Hairer & Wanner, Solving ODEs II, section IV.8).
+    runs at the working precision throughout.  One with no `start`, one whose
+    `start` is not finite or exceeds the tolerance scale START_BOUND times, or
+    one whose `decade` is the working precision starts from k = 0: its states
+    are u_n, so -F(u_n, t_p) at the working digits is its first residual.  A
+    kept start takes F(u_n, t_p) at FACTOR_GUARD digits, for the scale alone.
+    With no `lu` the matrix is built from the Jacobian at (u_n, t_n).  Every 5
+    iterations it is rebuilt from per-stage Jacobians at the current states,
+    evaluated and factored at the digits they carry, FACTOR_GUARD + the
+    residual's decade; a refresh forced by a stalled contraction, or whose
+    rounded matrix is singular, is evaluated and factored at the working
+    precision.  Picard is the same iteration with the Jacobian taken as zero:
+    the Newton matrix is I, k - r = F(states(k)) and no matrix is factored
+    (Hairer & Wanner, Solving ODEs II, section IV.8).
     """
     if not dt > 0:
         raise SolverError("dt must be positive")
@@ -190,27 +195,34 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
             # -log10(x / scale), from the binary exponents
             return (mp.mag(scale) - mp.mag(x)) * 3 // 10
 
-        k = list(map(_split, zip(*map(problem.rhs, [u_n] * s, t_p))))   # F(u_n, t_p)
-        scale = max(1, max(_mpf(max(map(abs, m)), x) for m, x in k))
+        keep = carry.start is not None and carry.decade != full
+        for dps in (FACTOR_GUARD, full)[not keep:]:   # a kept start: the scale only
+            with mp.workdps(dps):   # F(u_n, t_p)
+                f = list(map(_split, zip(*map(problem.rhs, [u_n] * s, t_p))))
+                fmax = max(_mpf(max(map(abs, m)), x) for m, x in f)
+            keep = keep and all(mp.isfinite(x) and abs(x) <= START_BOUND * max(1, fmax)
+                                for row in carry.start for x in row)
+            if keep:
+                break
+        scale = max(1, fmax)
         tol = stage_tol(ctx) * scale
         done = decade(tol)
-        start = carry.start
-        if start is not None and all(mp.isfinite(x) and abs(x) <= START_BOUND * scale
-                                     for row in start for x in row):
-            k = list(map(_split, zip(*start)))
-        k = [_fit(col, bits) for col in k]
+        k = ([_fit(col, bits) for col in map(_split, zip(*carry.start))] if keep
+             else [([0] * s, e) for _, e in f])
         if not picard and carry.lu is None:
             carry.lu = factor(lambda: [problem.jacobian(u_n, t_n)] * s, full)
         reach = carried = carry.decade
         gain = None   # decades the next correction is expected to gain
         for it in range(MAX_ITER):
             dps = full if reach is None else min(full, FACTOR_GUARD + reach)
-            q, r, rn = residual(k, dps)
-            if dps < full and (rn <= tol or decade(rn) + (gain or 1) >= dps):
-                # the floor re-check: neither accept nor correct from a
-                # residual the reduced digits cannot vouch for
-                dps = full
+            if it or keep:
                 q, r, rn = residual(k, dps)
+                if dps < full and (rn <= tol or decade(rn) + (gain or 1) >= dps):
+                    # the floor re-check: neither accept nor correct from a
+                    # residual the reduced digits cannot vouch for
+                    q, r, rn = residual(k, full)
+            else:   # k = 0: the states are u_n, r = -F(u_n, t_p) at the working digits
+                q, r, rn = [u_n] * s, [([-m for m in man], e) for man, e in f], fmax
             if rn <= tol:
                 if it == 1:
                     carry.decade = full
@@ -230,7 +242,9 @@ def solve_stages(tab, problem, u_n, t_n, dt, ctx, picard=False, carry=None):
                                   full if stall else min(full, FACTOR_GUARD + e))
                 gain = None if stall else gain + e
             if not picard:   # k -= M^-1 r for the Newton matrix M, I for Picard
-                er = min(x for _, x in r)   # r stacked as one split column
+                # each column onto the grid of the matrix's rows, then stacked
+                r = [_fit(col, carry.lu[3], widen=True) for col in r]
+                er = min(x for _, x in r)
                 x, ex = linalg.lu_solve(carry.lu, (
                     [m[p] << (em - er) for p in range(s) for m, em in r], er))
                 r = [(x[i::d], ex) for i in range(d)]
@@ -312,7 +326,8 @@ def integrate(tab, problem, m, ctx, picard=False):
     the next interval's stage times, k_p = sum_q l_q(1 + tau_p) k_q
     (Hairer & Wanner, Solving ODEs II, section IV.8, starting values),
     from one (N+1)^2 table of l_q(1 + tau_p) evaluated at FACTOR_GUARD
-    digits: the guess only starts the iteration.
+    digits: the guess only starts the iteration, and a step whose last step
+    converged after one correction (a linear problem) starts from k = 0.
     """
     if m < 1:
         raise SolverError("step count must be >= 1")

@@ -12,6 +12,7 @@ import pytest
 from aderdg import cli
 from aderdg.basis import FAMILIES
 from aderdg.cli import build_parser, main
+from aderdg.solver import eval_local, integrate
 from aderdg.tableau import (build_q_m, build_tableau, export_tableau,
                             stability_function)
 from aderdg.arith import MIN_DIGITS, make_context
@@ -297,10 +298,56 @@ def test_solve_solver_failure_exit():
                "--digits", "60", "--jacobian", "picard") == 3
 
 
+def test_solve_singular_newton_matrix_exits_3(capsys):
+    # N=0 has a = 1, so the Newton matrix 1 - dt a lam of lam = 1 on one
+    # interval is exactly 0, at the working digits too
+    assert run("solve", "dahlquist:1", "--n", "0", "--m", "1") == 3
+    assert "singular Newton matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, family", [("harmonic", "gauss-legendre"),
+                                             ("pendulum", "radau-left")])
+def test_solve_dense_json(problem, family, capsys):
+    # the JSON the benchmark parses: its keys, a row per node and per dense
+    # sample, decimals throughout, and each dense row the predictor at
+    # t_n + dt j/(K+1) to a unit in the last printed digit
+    n, m, k, digits = 3, 4, 3, 50
+    assert run("solve", problem, "--n", str(n), "--m", str(m), "--dense",
+               str(k), "--family", family, "--digits", str(digits),
+               "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"rows", "interface_residual"}
+    mp.mpf(doc["interface_residual"])
+    rows = doc["rows"]
+    assert len(rows) == m * (k + 1) + 1
+    keys = {"t", "kind", "u"} | ({"error"} if problem == "harmonic" else set())
+    assert all(set(row) == keys for row in rows)
+    assert [row["kind"] for row in rows] == ["node"] + (["dense"] * k + ["node"]) * m
+    ctx = make_context(digits)
+    tab = build_tableau(n, family, ctx)
+    traj = integrate(tab, cli.catalog_lookup(problem).problem, m, ctx)
+    with ctx.workdps(10):
+        for i, loc in enumerate(traj.locals):
+            for j in range(1, k + 1):
+                row = rows[i * (k + 1) + j]
+                t = loc.t_n + loc.dt_n * mp.mpf(j) / (k + 1)
+                printed = [mp.mpf(x) for x in [row["t"]] + row["u"]]
+                for x, want in zip(printed, (t,) + eval_local(loc, tab.basis, t)):
+                    unit = mp.mpf(10) ** (mp.floor(mp.log10(abs(want))) - digits + 1)
+                    assert abs(x - want) <= unit
+        for i, row in enumerate(rows[::k + 1]):
+            assert [mp.mpf(x) for x in row["u"]] == [
+                mp.mpf(mp.nstr(x, digits)) for x in traj.values[i]]
+            if "error" in row:
+                mp.mpf(row["error"])
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "node values are accurate in absolute terms only: the update u_n + dt "
-    "sum_p w_p k_p cancels log10|lam dt| digits, so nodes 3 and 4 print "
-    "rounding noise in place of R^3 = 1.7e-132 and R^4 = 2.1e-176"))
+    "sum_p w_p k_p cancels log10|lam dt| digits, and a step whose |F(u_n)| "
+    "is below the absolute stage tolerance accepts k = 0 and keeps u_n, so "
+    "nodes 3 and 4 print node 2's 1.44e-88 in place of R^3 = 1.7e-132 and "
+    "R^4 = 2.1e-176"))
 def test_stiff_solve_prints_node_signs_and_magnitudes(capsys):
     # node i of dahlquist(lam) on 4 intervals is R(lam/4)^i
     assert run("solve", "dahlquist:-1e45", "--n", "2", "--m", "4",

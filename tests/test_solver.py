@@ -8,7 +8,9 @@ from conftest import Mpz
 
 from aderdg import linalg, solver
 from aderdg.arith import make_context
-from aderdg.problems import dahlquist, harmonic_oscillator, pendulum
+from aderdg.basis import FAMILIES
+from aderdg.problems import (dahlquist, harmonic_oscillator, pendulum,
+                             polynomial_rhs)
 from aderdg.solver import (OdeProblem, SolverError, StageCarry,
                            StageSolveError, eval_local, integrate,
                            solve_stages, stage_sums, stage_tol, step,
@@ -110,9 +112,9 @@ def test_newton_nonconvergence_reports_interval(monkeypatch):
 @pytest.mark.parametrize("first_bad", [7, 200])
 def test_non_finite_rhs_raises_stage_solve_error(bad, picard, first_bad):
     # F turns non-finite from its first_bad-th call on: call 7 is in a
-    # residual of interval 0, after the 3 calls F(u_n, t_p) and the first
-    # residual, and call 200 in a later interval.  The error names the
-    # interval of that call
+    # residual of interval 0, after the 3 calls F(u_n, t_p), its first
+    # residual from k = 0, and the residual of the first correction, and
+    # call 200 in a later interval.  The error names the interval of that call
     problem = pendulum().problem
     m = 16
     calls, bad_t = [0], []
@@ -233,6 +235,13 @@ def test_trajectory_eval_outside_domain_names_t():
         with pytest.raises(SolverError,
                            match=r"^t=2\.5 outside trajectory domain$"):
             trajectory_eval(traj, mp.mpf("2.5"))
+
+
+@pytest.mark.parametrize("dt", [0, -1])
+def test_solve_stages_refuses_a_step_that_is_not_positive(dt):
+    problem = harmonic_oscillator().problem
+    with CTX.workdps(), pytest.raises(SolverError, match="dt must be positive"):
+        solve_stages(TAB2, problem, problem.u0, problem.t0, mp.mpf(dt), CTX)
 
 
 def test_bad_grids_rejected():
@@ -444,10 +453,13 @@ def _record_digits(monkeypatch, problem):
                                                   (60, 4, 32, True)],
                          ids=["newton", "picard"])
 def test_precision_schedule(monkeypatch, digits, n, m, picard):
-    # step 0 runs at the working digits; every later step evaluates its
-    # first residual below them, from the decade the last step's first
-    # correction reached, and ends on a residual evaluated at them.  The
-    # first s calls of a step are F(u_n, t_p) for the tolerance scale
+    # step 0 has no start guess, so it starts from k = 0: its first s calls,
+    # F(u_n, t_p), are its first residual, at the working digits, and it
+    # runs every sweep at them.  Every later step keeps the start extended
+    # from the last interval and takes F(u_n, t_p) at FACTOR_GUARD digits,
+    # for the tolerance scale alone; it evaluates its first residual below
+    # the working digits, from the decade the last step's first correction
+    # reached, and ends on a residual evaluated at them
     ctx = make_context(digits)
     tab = build_tableau(n, "gauss-legendre", ctx)
     problem, steps = _record_digits(monkeypatch, pendulum().problem)
@@ -457,9 +469,50 @@ def test_precision_schedule(monkeypatch, digits, n, m, picard):
     assert len(steps) == m
     assert set(steps[0]) == {full}
     for calls in steps[1:]:
-        assert calls[:s] == [full] * s
+        assert calls[:s] == [solver.FACTOR_GUARD] * s
         assert calls[s] < full and calls[2 * s] < full
         assert calls[-s:] == [full] * s
+
+
+@pytest.mark.parametrize("entry", [harmonic_oscillator(), dahlquist(-10 ** 4)],
+                         ids=["harmonic", "dahlquist"])
+def test_linear_steps_start_from_zero(monkeypatch, entry):
+    # a linear step converges after one correction, so the next step starts
+    # from k = 0, as step 0 does: its states are u_n, and F(u_n, t_p) at the
+    # working digits is its first residual, with no stage-sum pass.  A step
+    # makes 2 stage-sum passes, the residual of the correction and u_next,
+    # and 2s rhs calls; from the start extended from the last interval it
+    # made 3 and 3s
+    problem, steps = _record_digits(monkeypatch, entry.problem)
+    sums = solver.stage_sums
+
+    def recording(*args):
+        steps[-1].append("sums")
+        return sums(*args)
+
+    monkeypatch.setattr(solver, "stage_sums", recording)
+    integrate(TAB3, problem, 8, CTX)
+    full, s = CTX.decimal_digits + 10, TAB3.stages
+    assert steps[:-1] == [[full] * s + ["sums"] + [full] * s + ["sums"]] * 8
+
+
+def test_coarse_first_residual_is_widened_for_the_solve(monkeypatch):
+    # from k = 0 the first residual of dahlquist(-31623) is -F(u_0) = 31623,
+    # a 15-bit integer.  It reaches lu_solve widened to the bits of the
+    # matrix's rows: on its own grid 2^0 the correction is good to about 7
+    # decades and needs two more.  So step 0 converges after one correction,
+    # and every step makes one Newton solve
+    ctx = make_context(500)
+    tab = build_tableau(8, "gauss-legendre", ctx)
+    problem = dahlquist(-31623).problem
+    calls = _count_lu(monkeypatch)
+    carry = StageCarry()
+    with ctx.workdps():
+        solve_stages(tab, problem, problem.u0, problem.t0, mp.mpf(1) / 128, ctx,
+                     carry=carry)
+    assert (calls["solves"], carry.decade) == (1, ctx.decimal_digits + 10)
+    integrate(tab, problem, 128, ctx)
+    assert (len(calls["factor_dps"]), calls["solves"]) == (2, 1 + 128)
 
 
 def test_floor_recheck_is_not_a_stall(monkeypatch):
@@ -485,8 +538,8 @@ def test_floor_recheck_is_not_a_stall(monkeypatch):
 @pytest.mark.parametrize("bad", ["inf", "nan", "past bound"])
 def test_wild_start_guess_falls_back(bad):
     # a start guess that is not finite, or exceeds the tolerance scale
-    # (here 1) START_BOUND times, is replaced by k_p = F(u_n, t_p), and the
-    # step repeats the one started with no guess
+    # (here 1) START_BOUND times, is dropped for k = 0, and the step repeats
+    # the one started with no guess
     problem = pendulum().problem
     with CTX.workdps():
         dt = mp.mpf(1) / 4
@@ -510,9 +563,10 @@ def test_one_correction_carries_the_working_digits():
 
 def test_pendulum_newton_counts(monkeypatch):
     # the benchmark's pendulum solve: 219 Newton iterations and 33
-    # factorizations at the working digits from k = F(u_n); the precision
-    # schedule, whose refreshes raise the predicted gain, and the extended
-    # start take fewer iterations and no more factorizations
+    # factorizations at the working digits when every step started from
+    # k = F(u_n); the precision schedule, whose refreshes raise the predicted
+    # gain, and the extended start take fewer iterations and no more
+    # factorizations, and step 0's start from k = 0 takes as many as k = F(u_n)
     ctx = make_context(500)
     tab = build_tableau(8, "gauss-legendre", ctx)
     calls = _count_lu(monkeypatch)
@@ -521,8 +575,10 @@ def test_pendulum_newton_counts(monkeypatch):
 
 
 def test_picard_rhs_calls():
-    # the benchmark's Picard solve: 12,465 calls from k = F(u_n) at the
-    # working digits, fewer from the start extended from the last interval
+    # the benchmark's Picard solve: 12,465 calls when every step started
+    # from k = F(u_n) at the working digits, fewer from the start extended
+    # from the last interval.  Step 0 starts from k = 0 with as many: its
+    # first residual is -F(u_n, t_p) and its first correction is F(u_n, t_p)
     ctx = make_context(60)
     tab = build_tableau(8, "gauss-legendre", ctx)
     problem = pendulum().problem
@@ -535,3 +591,57 @@ def test_picard_rhs_calls():
     integrate(tab, dataclasses.replace(problem, rhs=counting), 64, ctx,
               picard=True)
     assert count[0] == 10035
+
+
+@pytest.fixture(scope="module")
+def family_tableaux():
+    # 50 digits: the least at which N = 12 builds (0.7 N + 40)
+    ctx = make_context(50)
+    return ctx, {(n, f): build_tableau(n, f, ctx) for n in range(13) for f in FAMILIES}
+
+
+@pytest.mark.parametrize("entry, norm, n_min", [
+    (harmonic_oscillator(), 1, 0), (dahlquist(-10 ** 6), 10 ** 6, 0),
+    (dahlquist(20), 20, 0), (polynomial_rhs(2, 1), 0, 2)],
+    ids=["harmonic", "dahlquist-1e6", "dahlquist20", "poly:2:1"])
+def test_families_agree_on_linear_problems(family_tableaux, entry, norm, n_min):
+    # No reference: on u' = L u the weak form's integrands have degree 2N,
+    # which every family's rule integrates exactly, so every family's
+    # predictor is the same degree-N polynomial (for u' = p(t) the degree is
+    # N + deg p, so poly:2:1 runs from N = 2).  Newton from k = 0 with the
+    # exact matrix lands on the rounding floor in one correction, so the
+    # families' node values differ by rounding alone.  A step rounds s + 1
+    # stage sums and an s-stage LU solve at d + 10 digits, each within s
+    # units of their last place relative to the step's largest value, and
+    # the cancellation of u_n + dt sum_p w_p k_p scales that by 1 + |L| dt:
+    # node i is allowed i s^2 (1 + |L| dt) max_{j<=i} |u_j| unit_roundoff,
+    # where unit_roundoff = 10^-d leaves 10^10 for the conditioning of the
+    # stage system.  A step whose |F(u_n)| is within stage_tol may accept
+    # k = 0 and keep u_n, 2 |u_n| <= 2 stage_tol / |L| off R u_n: that adds
+    # to every later node.  A dense value sums s basis values times the
+    # stage states, so it is allowed s times its interval's end bound
+    ctx, tabs = family_tableaux
+    m, taus = 2, (mp.mpf(1) / 3, mp.mpf(3) / 4)
+    for n in range(n_min, 13):
+        s = n + 1
+        runs = [integrate(tabs[n, f], entry.problem, m, ctx) for f in FAMILIES]
+        with ctx.workdps(10):
+            first = runs[0]
+            dt = first.times[1] - first.times[0]
+            scale = bound = mp.mpf(0)
+            for i, u in enumerate(first.values):
+                if i and norm and norm * max(map(abs, first.values[i - 1])) <= stage_tol(ctx):
+                    bound += 2 * stage_tol(ctx) / norm
+                scale = max([scale] + [abs(x) for x in u])
+                node = bound + i * s * s * (1 + norm * dt) * scale * ctx.unit_roundoff
+                for run in runs[1:]:
+                    assert max(abs(a - b) for a, b in zip(run.values[i], u)) <= node, \
+                        (n, run.tableau.basis.family, i)
+                    if i == 0:
+                        continue
+                    for tau in taus:
+                        t = first.times[i - 1] + tau * dt
+                        got = eval_local(run.locals[i - 1], run.tableau.basis, t)
+                        want = eval_local(first.locals[i - 1], first.tableau.basis, t)
+                        assert max(abs(a - b) for a, b in zip(got, want)) <= s * node, \
+                            (n, run.tableau.basis.family, i, tau)
